@@ -21,7 +21,6 @@ import numpy as np
 from .data import open_dataset
 from .errors import ConfigError, GfbsError
 from .netgraph import (
-    build_coupling_groups,
     build_network,
     count_flops,
     load_checkpoint,
@@ -161,11 +160,9 @@ def cmd_saliency(args) -> int:
     out = _outdir(args)
     net = load_checkpoint(args.ckpt)
     data = open_dataset(args.data)
-    cfg = PruneConfig(lam=args.lam, criterion=args.criterion,
-                      batch_size=args.batch_size, seed=args.seed)
+    cfg = PruneConfig(lam=args.lam, criterion=args.criterion, batch_size=args.batch_size)
     x, y = data.capture_batch(cfg.batch_size)
-    loss_kind = "mse" if data.task == "denoise" else "cross_entropy"
-    records = saliency_records(net, x, y, loss_kind, cfg)
+    records = saliency_records(net, x, y, data.loss_kind, cfg)
     write_saliency_csv(records, out / "saliency.csv")
     # the CSV drops the filter-norm fields; keep a lossless copy as well
     with open(out / "records.json", "w") as fh:
@@ -183,17 +180,16 @@ def cmd_oracle(args) -> int:
     net = load_checkpoint(args.ckpt)
     data = open_dataset(args.data)
     x, y = data.capture_batch(args.batch_size)
-    loss_kind = "mse" if data.task == "denoise" else "cross_entropy"
-    records = oracle_delta_loss(net, x, y, loss_kind)
+    records = oracle_delta_loss(net, x, y, data.loss_kind)
     write_oracle_csv(records, out / "oracle.csv")
     summary: dict = {"groups": len(records)}
 
     rng = np.random.default_rng(args.seed)
-    refs = [g.members[0] for g in build_coupling_groups(net.spec)]
+    refs = [g.members[0] for g in net.spec.groups]
     if refs:
         picks = [refs[i] for i in rng.choice(len(refs), min(5, len(refs)), replace=False)]
         summary["zero_equivalence_max_diff"] = spot_check_zero_equivalence(
-            net, x, y, loss_kind, picks)
+            net, x, y, data.loss_kind, picks)
 
     if args.saliency:
         sal = read_saliency_csv(args.saliency)
@@ -225,7 +221,7 @@ def cmd_prune(args) -> int:
     net = load_checkpoint(args.ckpt)
     records = read_saliency_csv(args.saliency)
     cfg = PruneConfig(lam=args.lam, tau=args.tau, criterion=args.criterion,
-                      min_keep=args.min_keep, seed=args.seed)
+                      min_keep=args.min_keep)
     plan = plan_prune(net, records, cfg)
     report = validate_plan(net, plan)
     if not report.ok:
@@ -343,7 +339,6 @@ def _sweep_lambda(args, out: Path) -> int:
     """Score/prune/finetune/eval once per lambda with a shared budget."""
     net = load_checkpoint(args.ckpt)
     data = open_dataset(args.data)
-    loss_kind = "mse" if data.task == "denoise" else "cross_entropy"
     lambdas = [float(s) for s in args.lambdas.split(",")] if args.lambdas \
         else list(DEFAULT_LAMBDAS)
     ft_cfg = _train_config(args, data)
@@ -353,8 +348,8 @@ def _sweep_lambda(args, out: Path) -> int:
         sub = out / f"lambda_{lam:g}"
         sub.mkdir(parents=True, exist_ok=True)
         cfg = PruneConfig(lam=lam, tau=args.tau, min_keep=args.min_keep,
-                          batch_size=args.probe_batch, seed=args.seed)
-        records = saliency_records(net.clone(), x, y, loss_kind, cfg)
+                          batch_size=args.probe_batch)
+        records = saliency_records(net.clone(), x, y, data.loss_kind, cfg)
         write_saliency_csv(records, sub / "saliency.csv")
         plan = plan_prune(net, records, cfg)
         write_plan(plan, sub / "plan.json")

@@ -61,6 +61,11 @@ class DatasetHandle:
     def task(self) -> str:
         return "denoise" if self.kind == "denoise_patches" else "classify"
 
+    @property
+    def loss_kind(self) -> str:
+        """The training and probe loss for this task."""
+        return "mse" if self.task == "denoise" else "cross_entropy"
+
     def train_batches(self, batch_size: int, epoch: int):
         """Minibatches in a fresh seeded permutation per epoch."""
         n = len(self.x_train)
@@ -260,18 +265,30 @@ def _parse_kv(body: str) -> dict[str, str]:
     return out
 
 
+_DESCRIPTOR_KEYS = {
+    "shapes": ("n_train", "n_test", "size", "seed"),
+    "denoise": ("n_train", "n_test", "size", "sigma", "seed"),
+    "idx": ("images", "labels", "test_fraction", "seed"),
+}
+
+
 def open_dataset(descriptor: str) -> DatasetHandle:
     """Build a handle from a one-line descriptor.
 
     Forms: ``shapes:n_train=512,n_test=128,size=16,seed=0``,
-    ``denoise:n_train=256,n_test=64,patch=12,sigma=50,seed=0`` (shape
-    images re-used as clean patches), and ``idx:images=PATH,labels=PATH``.
+    ``denoise:n_train=256,n_test=64,size=12,sigma=50,seed=0`` (shape
+    images re-used as clean patches), and ``idx:images=PATH,labels=PATH``
+    (optionally ``test_fraction`` and ``seed``). Any other key is a
+    ConfigError.
     """
-    if ":" in descriptor:
-        head, body = descriptor.split(":", 1)
-    else:
-        head, body = descriptor, ""
+    head, _, body = descriptor.partition(":")
+    if head not in _DESCRIPTOR_KEYS:
+        raise ConfigError(f"unknown dataset kind {head!r}")
     kv = _parse_kv(body)
+    unknown = sorted(set(kv) - set(_DESCRIPTOR_KEYS[head]))
+    if unknown:
+        raise ConfigError(f"{head} descriptor has unknown keys {unknown}; "
+                          f"it takes {', '.join(_DESCRIPTOR_KEYS[head])}")
     try:
         if head == "shapes":
             return gen_shapes_dataset(
@@ -283,16 +300,14 @@ def open_dataset(descriptor: str) -> DatasetHandle:
             clean = gen_shapes_dataset(
                 n_train=int(kv.get("n_train", 256)),
                 n_test=int(kv.get("n_test", 64)),
-                image_size=int(kv.get("patch", 12)),
+                image_size=int(kv.get("size", 12)),
                 seed=int(kv.get("seed", 0)))
             return make_noisy_pairs(clean, sigma=float(kv.get("sigma", 50)),
                                     seed=int(kv.get("seed", 0)))
-        if head == "idx":
-            if "images" not in kv or "labels" not in kv:
-                raise ConfigError("idx descriptor needs images= and labels= paths")
-            return load_idx(kv["images"], kv["labels"],
-                            test_fraction=float(kv.get("test_fraction", 0.1)),
-                            seed=int(kv.get("seed", 0)))
+        if "images" not in kv or "labels" not in kv:
+            raise ConfigError("idx descriptor needs images= and labels= paths")
+        return load_idx(kv["images"], kv["labels"],
+                        test_fraction=float(kv.get("test_fraction", 0.1)),
+                        seed=int(kv.get("seed", 0)))
     except ValueError as exc:
         raise ConfigError(f"bad value in dataset descriptor: {exc}") from exc
-    raise ConfigError(f"unknown dataset kind {head!r}")

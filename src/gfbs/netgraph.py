@@ -65,17 +65,35 @@ class BlockSpec:
 
 
 @dataclass(frozen=True)
+class Node:
+    """One compiled block. ``src`` is the conv block whose channels the
+    block reads (-1 for the network input); ``skip_src``, set only on a
+    residual_add, is the producer of the stream saved at its begin."""
+
+    index: int
+    block: BlockSpec
+    in_shape: tuple
+    out_shape: tuple
+    src: int
+    skip_src: int | None = None
+
+
+@dataclass(frozen=True)
 class NetworkSpec:
     name: str
     in_channels: int
     in_height: int
     in_width: int
     blocks: tuple[BlockSpec, ...]
+    nodes: tuple[Node, ...] = field(init=False, compare=False, repr=False)
+    groups: tuple[CouplingGroup, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if min(self.in_channels, self.in_height, self.in_width) < 1:
             raise ConfigError("input dimensions must be positive")
-        infer_shapes(self)  # raises on any structural problem
+        nodes = _compile(self)  # raises on any structural problem
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "groups", _coupling_groups(nodes))
 
     @property
     def input_shape(self) -> tuple[int, int, int]:
@@ -98,16 +116,17 @@ class CouplingGroup:
     members: tuple[ChannelRef, ...]
 
 
-def infer_shapes(spec: NetworkSpec) -> list[tuple]:
-    """Per-block output shapes; validates chaining, residual pairing,
-    and block ordering in one walk. Conv/pool shapes are (C, H, W),
-    post-flatten shapes are (D,)."""
-    shape: tuple = (spec.in_channels, spec.in_height, spec.in_width)
-    shapes: list[tuple] = []
-    stack: list[tuple] = []
-    seen_flatten = False
+def _compile(spec: NetworkSpec) -> tuple[Node, ...]:
+    """One walk over the blocks: validates chaining, residual pairing and
+    block ordering, and records each block's shapes and producers.
+    Conv/pool shapes are (C, H, W), post-flatten shapes are (D,)."""
+    shape: tuple = spec.input_shape
+    src = -1
+    stack: list[tuple[tuple, int]] = []
+    nodes: list[Node] = []
     for i, b in enumerate(spec.blocks):
-        if seen_flatten and b.kind != "linear":
+        in_shape, skip_src = shape, None
+        if len(shape) == 1 and b.kind != "linear":
             raise ConfigError(f"block {i}: only linear blocks may follow flatten")
         if b.kind in CONV_KINDS:
             c, h, w = shape
@@ -130,31 +149,34 @@ def infer_shapes(spec: NetworkSpec) -> list[tuple]:
                 raise ConfigError(f"block {i}: pool output collapses to {ho}x{wo}")
             shape = (c, ho, wo)
         elif b.kind == "residual_begin":
-            if len(shape) != 3:
-                raise ConfigError(f"block {i}: residual blocks must precede flatten")
-            stack.append(shape)
+            stack.append((shape, src))
         elif b.kind == "residual_add":
             if not stack:
                 raise ConfigError(f"block {i}: residual_add without residual_begin")
-            saved = stack.pop()
+            saved, skip_src = stack.pop()
             if saved != shape:
                 raise ConfigError(
                     f"block {i}: residual streams disagree, {saved} vs {shape}")
         elif b.kind == "flatten":
-            if len(shape) != 3:
-                raise ConfigError(f"block {i}: duplicate flatten")
             shape = (shape[0] * shape[1] * shape[2],)
-            seen_flatten = True
         elif b.kind == "linear":
             if len(shape) != 1:
                 raise ConfigError(f"block {i}: linear requires a flattened stream")
             if b.channels < 1:
                 raise ConfigError(f"block {i}: linear needs >= 1 output features")
             shape = (b.channels,)
-        shapes.append(shape)
+        nodes.append(Node(i, b, in_shape, shape, src, skip_src))
+        if b.kind in CONV_KINDS:
+            src = i
     if stack:
         raise ConfigError("unmatched residual_begin")
-    return shapes
+    return tuple(nodes)
+
+
+def infer_shapes(spec: NetworkSpec) -> list[tuple]:
+    """Per-block output shapes. Conv/pool shapes are (C, H, W),
+    post-flatten shapes are (D,)."""
+    return [n.out_shape for n in spec.nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +316,11 @@ def build_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network
     """Allocate parameters for a spec: Kaiming fan-in normal conv/linear
     weights, unit gamma, zero beta and bias, fresh running statistics."""
     rng = np.random.default_rng(seed)
-    shapes = infer_shapes(spec)
     params: list = []
-    prev: tuple = spec.input_shape
-    for i, b in enumerate(spec.blocks):
+    for node in spec.nodes:
+        b = node.block
         if b.kind in CONV_KINDS:
-            c_in = prev[0]
+            c_in = node.in_shape[0]
             fan_in = c_in * b.kernel * b.kernel
             w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
                            (b.channels, c_in, b.kernel, b.kernel))
@@ -316,14 +337,13 @@ def build_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network
                     running_mean=Tensor(np.zeros(b.channels), dtype=dtype),
                     running_var=Tensor(np.ones(b.channels), dtype=dtype)))
         elif b.kind == "linear":
-            d = prev[0]
+            d = node.in_shape[0]
             w = rng.normal(0.0, np.sqrt(2.0 / d), (d, b.channels))
             params.append(LinearParams(
                 weight=Tensor(w, dtype=dtype),
                 bias=Tensor(np.zeros(b.channels), dtype=dtype)))
         else:
             params.append(None)
-        prev = shapes[i]
     return Network(spec, params)
 
 
@@ -395,14 +415,12 @@ def count_flops(spec: NetworkSpec) -> FlopsReport:
     + H'*W'*C_out, linear = 2*D*K + K, batch norm = 2 per element, ReLU = 1
     per element, pool = k^2 per output element, residual add = 1 per
     element, flatten free."""
-    shapes = infer_shapes(spec)
     entries: list[FlopsEntry] = []
     conv_total = 0
-    prev: tuple = spec.input_shape
-    for i, b in enumerate(spec.blocks):
-        out = shapes[i]
+    for node in spec.nodes:
+        i, b, out = node.index, node.block, node.out_shape
         if b.kind in CONV_KINDS:
-            c_in = prev[0]
+            c_in = node.in_shape[0]
             c, ho, wo = out
             conv = 2 * ho * wo * c * b.kernel * b.kernel * c_in + ho * wo * c
             conv_total += conv
@@ -422,12 +440,11 @@ def count_flops(spec: NetworkSpec) -> FlopsReport:
             c, h, w = out
             entries.append(FlopsEntry(i, b.kind, c * h * w, f"@{h}x{w}"))
         elif b.kind == "linear":
-            d = prev[0]
+            d = node.in_shape[0]
             k = out[0]
             entries.append(FlopsEntry(i, b.kind, 2 * d * k + k, f"{d}->{k}"))
         else:
             entries.append(FlopsEntry(i, b.kind, 0, ""))
-        prev = out
     total = sum(e.flops for e in entries)
     return FlopsReport(tuple(entries), total, conv_total)
 
@@ -436,67 +453,46 @@ def count_flops(spec: NetworkSpec) -> FlopsReport:
 # coupling groups
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
+def _coupling_groups(nodes: tuple[Node, ...]) -> tuple[CouplingGroup, ...]:
+    """Partition prunable channels into atomic groups.
 
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    A residual add joins channel c of its two producers, so channels
+    joined directly or through a chain of adds live or die together.
+    Keys are (producer, channel); the network input (-1) and plain-conv
+    outputs cannot be pruned, so any group containing one is dropped.
+    Group ids are assigned in order of each group's smallest member.
+    """
+    parent: dict = {}
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    def find(key):
+        parent.setdefault(key, key)
+        while parent[key] != key:
+            parent[key] = parent[parent[key]]
+            key = parent[key]
+        return key
+
+    for node in nodes:
+        if node.skip_src is not None:
+            for c in range(node.out_shape[0]):
+                a, b = find((node.skip_src, c)), find((node.src, c))
+                if a != b:
+                    parent[b] = a
+    keys = set(parent)
+    keys.update((n.index, c) for n in nodes if n.block.kind in CONV_KINDS
+                for c in range(n.block.channels))
+    members: dict = {}
+    for key in keys:
+        members.setdefault(find(key), []).append(key)
+    groups = sorted(
+        tuple(sorted(ChannelRef(*k) for k in group_keys))
+        for group_keys in members.values()
+        if all(k[0] >= 0 and nodes[k[0]].block.kind in BN_KINDS for k in group_keys))
+    return tuple(CouplingGroup(gid, refs) for gid, refs in enumerate(groups))
 
 
 def build_coupling_groups(spec: NetworkSpec) -> list[CouplingGroup]:
-    """Partition prunable channels into atomic groups.
-
-    Channels flowing into a residual add share one stream position and
-    must live or die together. Keys track producers: the network input
-    and plain-conv outputs cannot be pruned, so any group containing one
-    is dropped from the result. Group ids are assigned in order of each
-    group's smallest member.
-    """
-    uf = _UnionFind()
-    sources: list = [("in", c) for c in range(spec.in_channels)]
-    stack: list[list] = []
-    for i, b in enumerate(spec.blocks):
-        if b.kind in CONV_KINDS:
-            tag = "conv" if b.kind == "conv" else "bn"
-            sources = [(tag, i, c) for c in range(b.channels)]
-        elif b.kind == "residual_begin":
-            stack.append(list(sources))
-        elif b.kind == "residual_add":
-            saved = stack.pop()
-            for a_key, b_key in zip(saved, sources):
-                uf.union(a_key, b_key)
-        elif b.kind in ("flatten", "linear"):
-            break
-        # pool keeps channel identity
-    all_keys = set(uf.parent)
-    for i, b in enumerate(spec.blocks):
-        if b.kind in CONV_KINDS:
-            tag = "conv" if b.kind == "conv" else "bn"
-            all_keys.update((tag, i, c) for c in range(b.channels))
-    members: dict = {}
-    for key in all_keys:
-        members.setdefault(uf.find(key), set()).add(key)
-
-    groups: list[tuple[ChannelRef, ...]] = []
-    for group_keys in members.values():
-        if any(k[0] != "bn" for k in group_keys):
-            continue  # contains the input or a plain-conv channel
-        refs = tuple(sorted(ChannelRef(k[1], k[2]) for k in group_keys))
-        groups.append(refs)
-    groups.sort(key=lambda refs: refs[0])
-    return [CouplingGroup(gid, refs) for gid, refs in enumerate(groups)]
+    """The spec's atomic pruning groups (see ``_coupling_groups``)."""
+    return list(spec.groups)
 
 
 def group_lookup(groups: list[CouplingGroup]) -> dict[ChannelRef, int]:

@@ -13,8 +13,6 @@ average-rank tie handling.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +23,6 @@ from .netgraph import (
     ChannelRef,
     CouplingGroup,
     Network,
-    build_coupling_groups,
     forward_full,
 )
 
@@ -52,69 +49,39 @@ def _batch_loss(net: Network, batch_x: np.ndarray, batch_y, loss_kind: str) -> f
     return loss_op(out, batch_y, loss_kind).item()
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("GFBS_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"GFBS_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(cap, n_jobs))
-
-
 def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
                       loss_kind: str,
                       groups: list[CouplingGroup] | None = None) -> list[OracleRecord]:
     """|loss-with-group-zeroed - base loss| for every prunable group.
 
     The probe batch must be the same one the saliency capture used for
-    the comparison to mean anything. The network is left bit-identical;
-    each worker gets its own clone. GFBS_THREADS caps parallelism
-    (default 1, serial).
+    the comparison to mean anything. The network is left bit-identical.
     """
     if groups is None:
-        groups = build_coupling_groups(net.spec)
+        groups = net.spec.groups
     if not groups:
         return []
     snapshot = {name: t.data.copy() for name, t in net.named_tensors().items()}
     base = _batch_loss(net, batch_x, batch_y, loss_kind)
 
-    def eval_group(work_net: Network, group: CouplingGroup) -> float:
+    def eval_group(group: CouplingGroup) -> float:
         saved = []
         for ref in group.members:
-            gamma = work_net.params[ref.layer].gamma
+            gamma = net.params[ref.layer].gamma
             saved.append((gamma, ref.channel, gamma.data[ref.channel].copy()))
             gamma.data[ref.channel] = 0.0
         try:
-            probed = _batch_loss(work_net, batch_x, batch_y, loss_kind)
+            probed = _batch_loss(net, batch_x, batch_y, loss_kind)
         finally:
             for gamma, ch, value in saved:
                 gamma.data[ch] = value
         return abs(probed - base)
 
-    workers = _worker_count(len(groups))
-    deltas: list[float] = [0.0] * len(groups)
-    if workers == 1:
-        for k, g in enumerate(groups):
-            deltas[k] = eval_group(net, g)
-    else:
-        # one private clone per worker; each chunk runs serially on its clone
-        def eval_chunk(work_net: Network, indices: list[int]) -> list[float]:
-            return [eval_group(work_net, groups[k]) for k in indices]
-
-        chunks = [list(range(w, len(groups), workers)) for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(eval_chunk, net.clone(), chunk)
-                       for chunk in chunks]
-            for chunk, fut in zip(chunks, futures):
-                for k, d in zip(chunk, fut.result()):
-                    deltas[k] = d
-
+    records = [OracleRecord(group=g.group_id, members=g.members, delta_loss=eval_group(g))
+               for g in groups]
     for name, t in net.named_tensors().items():
         if not np.array_equal(t.data, snapshot[name]):
             raise ConfigError(f"oracle probe failed to restore {name}")
-
-    records = [OracleRecord(group=g.group_id, members=g.members, delta_loss=d)
-               for g, d in zip(groups, deltas)]
     order = sorted(range(len(records)),
                    key=lambda i: (records[i].delta_loss, records[i].group))
     for rank, i in enumerate(order):

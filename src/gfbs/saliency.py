@@ -25,8 +25,7 @@ import numpy as np
 
 from .autograd import Tape, Tensor, backward, loss as loss_op
 from .errors import ConfigError, FormatError
-from .netgraph import BN_KINDS, Network, build_coupling_groups, forward_full, group_lookup
-from .netgraph import ChannelRef
+from .netgraph import ChannelRef, Network, forward_full, group_lookup
 
 CRITERIA = ("gfbs", "gamma_only", "beta_only", "l1_filter")
 
@@ -43,7 +42,6 @@ class PruneConfig:
     criterion: str = "gfbs"
     batch_size: int = 64
     min_keep: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam < 0:
@@ -106,7 +104,7 @@ def capture(net: Network, batch_x: np.ndarray, batch_y: np.ndarray,
     scalar = loss_op(out, batch_y, loss_kind, tape=tape)
     backward(tape, scalar)
 
-    lookup = group_lookup(build_coupling_groups(net.spec))
+    lookup = group_lookup(net.spec.groups)
     records: list[SaliencyRecord] = []
     for i in bn_blocks:
         p = net.params[i]
@@ -138,32 +136,6 @@ def _looks_untrained(net: Network, bn_blocks: list[int]) -> bool:
     return True
 
 
-def capture_mean(net: Network, batches, loss_kind: str) -> list[SaliencyRecord]:
-    """Average raw captures over several minibatches. Off the beaten path:
-    the standard recipe uses a single batch, but smoothing is available."""
-    acc: list[SaliencyRecord] | None = None
-    count = 0
-    for batch_x, batch_y in batches:
-        recs = capture(net, batch_x, batch_y, loss_kind)
-        if acc is None:
-            acc = recs
-        else:
-            for a, r in zip(acc, recs):
-                a.gamma += r.gamma
-                a.grad_gamma += r.grad_gamma
-                a.beta += r.beta
-                a.weight_l1 += r.weight_l1
-        count += 1
-    if acc is None:
-        raise ConfigError("capture_mean needs at least one batch")
-    for a in acc:
-        a.gamma /= count
-        a.grad_gamma /= count
-        a.beta /= count
-        a.weight_l1 /= count
-    return acc
-
-
 def normalize_layerwise(records: list[SaliencyRecord]) -> list[SaliencyRecord]:
     """Scale each layer's gamma / grad_gamma / beta / weight_l1 vectors to
     unit Euclidean norm, in place. All-zero vectors stay all-zero."""
@@ -174,9 +146,11 @@ def normalize_layerwise(records: list[SaliencyRecord]) -> list[SaliencyRecord]:
         for raw, out in (("gamma", "gamma_n"), ("grad_gamma", "grad_gamma_n"),
                          ("beta", "beta_n"), ("weight_l1", "weight_l1_n")):
             vec = np.array([getattr(r, raw) for r in layer_records], dtype=np.float64)
-            norm = float(np.linalg.norm(vec))
-            scaled = vec / norm if norm > 0 else vec
-            for r, v in zip(layer_records, scaled):
+            peak = float(np.abs(vec).max())
+            if peak > 0:  # dividing by the peak first keeps the norm from underflowing
+                vec = vec / peak
+                vec = vec / np.linalg.norm(vec)
+            for r, v in zip(layer_records, vec):
                 setattr(r, out, float(v))
     return records
 

@@ -30,10 +30,9 @@ from .netgraph import (
     ChannelRef,
     Network,
     NetworkSpec,
-    build_coupling_groups,
     build_network,
     count_flops,
-    infer_shapes,
+    group_lookup,
 )
 from .saliency import PruneConfig, SaliencyRecord
 
@@ -62,7 +61,7 @@ def _conv_layers(spec: NetworkSpec) -> dict[int, int]:
 def plan_prune(net: Network, records: list[SaliencyRecord],
                cfg: PruneConfig) -> PrunePlan:
     """Greedy group selection under the channel budget tau."""
-    groups = build_coupling_groups(net.spec)
+    groups = net.spec.groups
     if not groups:
         raise ConfigError("network has no prunable channels")
     by_ref = {r.ref: r for r in records}
@@ -128,48 +127,33 @@ def apply_prune(net: Network, plan: PrunePlan) -> Network:
     if plan.base_spec != net.spec:
         raise ConfigError("plan was made for a different network spec")
     pruned = build_network(plan.spec, seed=0, dtype=net.dtype)
-    shapes = infer_shapes(net.spec)
-
-    kept_stream = list(range(net.spec.in_channels))
-    stack: list[list[int]] = []
-    prev_shape: tuple = net.spec.input_shape
-    seen_first_linear = False
-    flat_map: list[int] | None = None
-    for i, b in enumerate(net.spec.blocks):
+    kept = {-1: tuple(range(net.spec.in_channels)), **plan.kept_per_layer}
+    for node in net.spec.nodes:
+        i, b = node.index, node.block
+        old, new = net.params[i], pruned.params[i]
         if b.kind in CONV_KINDS:
-            kept_out = list(plan.kept_per_layer[i])
-            src, dst = net.params[i], pruned.params[i]
-            dst.weight.data = np.ascontiguousarray(
-                src.weight.data[np.ix_(kept_out, kept_stream)])
-            dst.bias.data = src.bias.data[kept_out].copy()
+            kept_out = list(kept[i])
+            new.weight.data = np.ascontiguousarray(
+                old.weight.data[np.ix_(kept_out, list(kept[node.src]))])
+            new.bias.data = old.bias.data[kept_out].copy()
             if b.kind in BN_KINDS:
-                dst.gamma.data = src.gamma.data[kept_out].copy()
-                dst.beta.data = src.beta.data[kept_out].copy()
-                dst.running_mean.data = src.running_mean.data[kept_out].copy()
-                dst.running_var.data = src.running_var.data[kept_out].copy()
-            kept_stream = kept_out
-        elif b.kind == "residual_begin":
-            stack.append(list(kept_stream))
-        elif b.kind == "residual_add":
-            saved = stack.pop()
-            if saved != kept_stream:
-                raise ConfigError(
-                    f"plan splits the residual stream joined at block {i}: "
-                    f"{saved} vs {kept_stream}")
-        elif b.kind == "flatten":
-            c, h, w = prev_shape
-            flat_map = [ch * h * w + s for ch in kept_stream for s in range(h * w)]
+                new.gamma.data = old.gamma.data[kept_out].copy()
+                new.beta.data = old.beta.data[kept_out].copy()
+                new.running_mean.data = old.running_mean.data[kept_out].copy()
+                new.running_var.data = old.running_var.data[kept_out].copy()
+        elif b.kind == "residual_add" and kept[node.skip_src] != kept[node.src]:
+            raise ConfigError(
+                f"plan splits the residual stream joined at block {i}: "
+                f"{list(kept[node.skip_src])} vs {list(kept[node.src])}")
         elif b.kind == "linear":
-            src, dst = net.params[i], pruned.params[i]
-            if not seen_first_linear:
-                if flat_map is None:
-                    raise ConfigError("linear without a preceding flatten")
-                dst.weight.data = np.ascontiguousarray(src.weight.data[flat_map, :])
-                seen_first_linear = True
+            flat = net.spec.nodes[i - 1]
+            if flat.block.kind == "flatten":
+                c, h, w = flat.in_shape
+                rows = [ch * h * w + s for ch in kept[flat.src] for s in range(h * w)]
+                new.weight.data = np.ascontiguousarray(old.weight.data[rows, :])
             else:
-                dst.weight.data = src.weight.data.copy()
-            dst.bias.data = src.bias.data.copy()
-        prev_shape = shapes[i]
+                new.weight.data = old.weight.data.copy()
+            new.bias.data = old.bias.data.copy()
     return pruned
 
 
@@ -218,7 +202,7 @@ def validate_plan(net: Network, plan: PrunePlan) -> ValidationReport:
             v.append(f"layer {layer}: collapsed to {len(kept)} < min_keep {plan.min_keep}")
 
     removed_set = set(plan.removed)
-    for g in build_coupling_groups(net.spec):
+    for g in net.spec.groups:
         hit = sum(1 for m in g.members if m in removed_set)
         if 0 < hit < len(g.members):
             v.append(f"group {g.group_id} split: {hit}/{len(g.members)} members removed")
@@ -228,7 +212,7 @@ def validate_plan(net: Network, plan: PrunePlan) -> ValidationReport:
             v.append(f"pruned spec block {i} width {b.channels} "
                      f"!= kept count {len(plan.kept_per_layer[i])}")
 
-    total = sum(len(g.members) for g in build_coupling_groups(net.spec))
+    total = sum(len(g.members) for g in net.spec.groups)
     if total and plan.achieved_ratio != len(plan.removed) / total:
         v.append("achieved_ratio does not equal removed/total")
     if plan.achieved_ratio > plan.tau + 1e-12:
@@ -244,10 +228,7 @@ def validate_plan(net: Network, plan: PrunePlan) -> ValidationReport:
 
 
 def write_plan(plan: PrunePlan, path) -> None:
-    group_of = {}
-    for g in build_coupling_groups(plan.base_spec):
-        for m in g.members:
-            group_of[m] = g.group_id
+    group_of = group_lookup(plan.base_spec.groups)
     doc = {
         "spec_name": plan.base_spec.name,
         "tau": plan.tau,

@@ -103,12 +103,6 @@ class Adam:
             p.grad = None
 
 
-def _loss_kind(cfg: TrainConfig, data: DatasetHandle) -> str:
-    if cfg.loss is not None:
-        return cfg.loss
-    return "mse" if data.task == "denoise" else "cross_entropy"
-
-
 def _psnr_db(pred: np.ndarray, target: np.ndarray) -> float:
     """PSNR for unit-scale images, capped so identical pairs stay finite."""
     mse = float(np.mean((np.asarray(pred, np.float64) - target) ** 2))
@@ -143,7 +137,7 @@ def train(net: Network, data: DatasetHandle, cfg: TrainConfig,
     metric seen so far are saved there (overwritten as the best improves).
     """
     task = data.task
-    kind = _loss_kind(cfg, data)
+    kind = cfg.loss or data.loss_kind
     if task == "denoise" and kind == "cross_entropy":
         raise ConfigError("cross_entropy loss cannot train a denoiser")
     opt = _make_optimizer(cfg, net)
@@ -192,7 +186,7 @@ def finetune(net: Network, data: DatasetHandle, cfg: TrainConfig,
 def evaluate(net: Network, data: DatasetHandle, batch_size: int = 256) -> Metrics:
     """Eval-mode metrics over the test split (norm uses running stats)."""
     task = data.task
-    kind = "mse" if task == "denoise" else "cross_entropy"
+    kind = data.loss_kind
     losses: list[float] = []
     weights: list[int] = []
     per_sample: list[float] = []

@@ -172,9 +172,24 @@ class TestDescriptors:
         assert len(ds.x_train) == 30
 
     def test_denoise_descriptor(self):
-        ds = open_dataset("denoise:n_train=20,n_test=5,patch=12,sigma=50,seed=1")
+        ds = open_dataset("denoise:n_train=20,n_test=5,size=12,sigma=50,seed=1")
         assert ds.kind == "denoise_patches"
         assert ds.sigma == 50
+        assert ds.sample_shape == (1, 12, 12)
+
+    def test_denoise_size_key(self):
+        ds = open_dataset("denoise:n_train=8,n_test=4,size=16")
+        assert ds.sample_shape == (1, 16, 16)
+
+    @pytest.mark.parametrize("descriptor", [
+        "shapes:n_trian=8", "denoise:patch=12", "idx:images=a,labels=b,sigma=5"])
+    def test_unknown_key_rejected(self, descriptor):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            open_dataset(descriptor)
+
+    def test_loss_kind_follows_task(self):
+        assert open_dataset("shapes:n_train=4,n_test=2").loss_kind == "cross_entropy"
+        assert open_dataset("denoise:n_train=4,n_test=2").loss_kind == "mse"
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

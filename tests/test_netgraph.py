@@ -43,6 +43,38 @@ flatten
 linear 5
 """
 
+# an inner residual pair inside an outer one; the joins see different streams
+NESTED = """\
+input 2 8 8
+conv_bn_relu 8 3 1 1
+residual_begin
+conv_bn_relu 6 3 1 1
+conv_bn_relu 6 3 1 1
+residual_begin
+conv_bn_relu 4 3 1 1
+conv_bn 6 3 1 1
+residual_add
+conv_bn 8 3 1 1
+residual_add
+flatten
+linear 3
+"""
+
+# both begins save the same stream, so the two joins share one group
+NESTED_SHARED = """\
+input 2 8 8
+conv_bn_relu 4 3 1 1
+residual_begin
+residual_begin
+conv_bn_relu 4 3 1 1
+conv_bn 4 3 1 1
+residual_add
+conv_bn 4 3 1 1
+residual_add
+flatten
+linear 3
+"""
+
 
 class TestSpecText:
     def test_round_trip(self):
@@ -214,6 +246,20 @@ class TestFlops:
         assert rep.ratio_vs(rep) == 1.0
 
 
+class TestCompiledNodes:
+    def test_producers_of_each_block(self):
+        nodes = parse_spec(NESTED).nodes
+        assert [n.src for n in nodes] == [-1, 0, 0, 2, 3, 3, 5, 6, 6, 8, 8, 8]
+        assert [n.skip_src for n in nodes if n.skip_src is not None] == [3, 0]
+        assert nodes[10].in_shape == (8, 8, 8) and nodes[10].out_shape == (512,)
+
+    def test_nodes_stay_out_of_equality_and_repr(self):
+        spec = parse_spec(NESTED)
+        assert spec == parse_spec(format_spec(spec))
+        assert hash(spec) == hash(parse_spec(format_spec(spec)))
+        assert "nodes" not in repr(spec) and "groups" not in repr(spec)
+
+
 class TestCouplingGroups:
     def test_plain_chain_all_singletons(self):
         spec = parse_spec(TINY)
@@ -254,6 +300,22 @@ class TestCouplingGroups:
         # the plain conv joins the input stream: dropped; inner 4 channels stay
         assert len(groups) == 4
         assert all(g.members[0].layer == 1 for g in groups)
+
+    def test_nested_joins_form_their_own_groups(self):
+        groups = build_coupling_groups(parse_spec(NESTED))
+        layer_sets = [tuple(sorted({m.layer for m in g.members})) for g in groups]
+        assert layer_sets.count((3, 6)) == 6  # inner join
+        assert layer_sets.count((0, 8)) == 8  # outer join
+        assert layer_sets.count((2,)) == 6 and layer_sets.count((5,)) == 4
+        assert len(groups) == 24
+        for g in groups:
+            assert len({m.channel for m in g.members}) == 1
+
+    def test_nested_joins_on_one_stream_merge(self):
+        groups = build_coupling_groups(parse_spec(NESTED_SHARED))
+        triples = [g for g in groups if len(g.members) == 3]
+        assert len(triples) == 4
+        assert all({m.layer for m in g.members} == {0, 4, 6} for g in triples)
 
     def test_lookup_covers_every_member(self):
         groups = build_coupling_groups(parse_spec(RESNETTY))

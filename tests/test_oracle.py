@@ -72,22 +72,6 @@ class TestOracle:
         assert [(r.group, r.delta_loss, r.rank) for r in a] \
             == [(r.group, r.delta_loss, r.rank) for r in b]
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        net = make_net()
-        x, y = probe_batch(net)
-        serial = oracle_delta_loss(net, x, y, "cross_entropy")
-        monkeypatch.setenv("GFBS_THREADS", "3")
-        threaded = oracle_delta_loss(net, x, y, "cross_entropy")
-        assert [(r.group, r.delta_loss) for r in serial] \
-            == [(r.group, r.delta_loss) for r in threaded]
-
-    def test_bad_thread_env(self, monkeypatch):
-        net = make_net()
-        x, y = probe_batch(net)
-        monkeypatch.setenv("GFBS_THREADS", "many")
-        with pytest.raises(ConfigError):
-            oracle_delta_loss(net, x, y, "cross_entropy")
-
     def test_dead_channel_zero_delta(self):
         net = make_net()
         # kill channel 1 of the first block: zero filter, negative shift

@@ -48,6 +48,38 @@ flatten
 linear 3
 """
 
+NESTED = """\
+name nested
+input 2 8 8
+conv_bn_relu 8 3 1 1
+residual_begin
+conv_bn_relu 6 3 1 1
+conv_bn_relu 6 3 1 1
+residual_begin
+conv_bn_relu 4 3 1 1
+conv_bn 6 3 1 1
+residual_add
+conv_bn 8 3 1 1
+residual_add
+flatten
+linear 3
+"""
+
+NESTED_SHARED = """\
+name nested_shared
+input 2 8 8
+conv_bn_relu 4 3 1 1
+residual_begin
+residual_begin
+conv_bn_relu 4 3 1 1
+conv_bn 4 3 1 1
+residual_add
+conv_bn 4 3 1 1
+residual_add
+flatten
+linear 3
+"""
+
 
 def fabricate_records(spec, scores):
     """Records carrying given {(layer, channel): score} values."""
@@ -195,6 +227,21 @@ class TestSurgery:
         a = forward_full(pruned, x, "eval").data
         b = forward_full(masked, x, "eval").data
         np.testing.assert_allclose(a, b, atol=1e-5)
+
+    @pytest.mark.parametrize("text", [NESTED, NESTED_SHARED])
+    def test_surgery_equals_masking_nested_residual(self, text):
+        rng = np.random.default_rng(8)
+        for seed in range(4):
+            net = randomized_net(text, seed=seed)
+            recs = chain_records(net.spec, seed + 20)
+            plan = plan_prune(net, recs, PruneConfig(tau=float(rng.uniform(0.2, 0.8)),
+                                                     min_keep=1))
+            assert plan.removed
+            assert validate_plan(net, plan).ok
+            x = Tensor(rng.standard_normal((4, 2, 8, 8)).astype(np.float32))
+            a = forward_full(apply_prune(net, plan), x, "eval").data
+            b = forward_full(apply_mask(net, plan), x, "eval").data
+            np.testing.assert_allclose(a, b, atol=1e-5)
 
     def test_linear_rows_follow_flatten_map(self):
         spec = parse_spec("input 1 4 4\nconv_bn_relu 3 3 1 1\npool 0 2 2 0\nflatten\nlinear 2\n")
