@@ -233,6 +233,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
+    """Columns ``[N, C*k*k, Ho*Wo]``: row ``(c, i, j)`` of sample n holds
+    ``x[n, c, i + stride*ho, j + stride*wo]`` over the output grid (ho, wo).
+    The copy runs along Wo, and ``W[C_out, C*k*k] @ cols`` is already NCHW."""
     n, c, h, w = x.shape
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -242,21 +245,22 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
     win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    # [N, C, Ho, Wo, k, k] -> [N*Ho*Wo, C*k*k]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * k * k)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, ho * wo)
     return cols, ho, wo
 
 
 def _col2im(gcols: np.ndarray, shape: tuple[int, ...], k: int, stride: int, padding: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: scatter-add ``[N, C*k*k, Ho*Wo]`` columns back
+    onto ``[N, C, H, W]``; each of the k*k adds reads one contiguous block."""
     n, c, h, w = shape
     hp, wp = h + 2 * padding, w + 2 * padding
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    g6 = gcols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    g6 = gcols.reshape(n, c, k, k, ho, wo)
     gxp = np.zeros((n, c, hp, wp), dtype=gcols.dtype)
     for i in range(k):
         for j in range(k):
-            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, :, :, i, j]
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, i, j]
     if padding > 0:
         return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
     return gxp
@@ -283,20 +287,16 @@ def conv2d(x: Tensor, params, stride: int = 1, padding: int = 0,
 
     cols, ho, wo = _im2col(x.data, k, stride, padding)
     wmat = w.data.reshape(c_out, -1)
-    out2 = cols @ wmat.T + b.data
-    out = Tensor(np.ascontiguousarray(
-        out2.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)))
+    out = Tensor((np.matmul(wmat, cols) + b.data[:, None]).reshape(n, c_out, ho, wo))
     _check_finite(out.data, "conv2d")
 
     if tape is not None:
-        xshape = x.shape
 
         def bwd(gout: np.ndarray) -> None:
-            g2 = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, c_out)
-            _accum(b, g2.sum(axis=0))
-            _accum(w, (g2.T @ cols).reshape(w.shape))
-            gcols = g2 @ wmat
-            _accum(x, _col2im(gcols, xshape, k, stride, padding))
+            g3 = gout.reshape(n, c_out, ho * wo)
+            _accum(b, g3.sum(axis=(0, 2)))
+            _accum(w, np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
+            _accum(x, _col2im(np.matmul(wmat.T, g3), (n, c_in, h, wid), k, stride, padding))
 
         tape.record("conv2d", [x, w, b], out, bwd)
     return out
@@ -310,10 +310,10 @@ def batchnorm(x: Tensor, params: ParamSet, mode: str, tape: Tape | None = None,
               update_stats: bool = True) -> Tensor:
     """Per-channel batch normalization over the batch and spatial axes.
 
-    In train mode the normalizing mean/variance are computed from the
-    current minibatch (biased variance) and folded into the running
-    statistics by exponential moving average unless ``update_stats`` is
-    off. Eval mode normalizes with the stored running statistics.
+    In train mode the normalizing mean/variance (biased) come from the
+    minibatch, adding per-sample sums in float64 so that sample order does
+    not matter, and fold into the running statistics by moving average
+    unless ``update_stats`` is off. Eval mode uses the running statistics.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown batchnorm mode {mode!r}")
@@ -331,9 +331,9 @@ def batchnorm(x: Tensor, params: ParamSet, mode: str, tape: Tape | None = None,
     if mode == "train":
         if m < 2:
             raise ConfigError("train-mode batchnorm needs at least 2 values per channel")
-        mu = x.data.mean(axis=(0, 2, 3))
+        mu = (x.data.sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
         xc = x.data - mu[None, :, None, None]
-        var = np.mean(xc * xc, axis=(0, 2, 3))
+        var = ((xc * xc).sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
         inv = 1.0 / np.sqrt(var + params.eps)
         xhat = xc * inv[None, :, None, None]
         out = Tensor(g4 * xhat + b4)
@@ -432,8 +432,11 @@ def flatten(x: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def maxpool2d(x: Tensor, kernel: int, stride: int, tape: Tape | None = None) -> Tensor:
-    """Max pooling with square windows; ties route the gradient to the
-    first maximal element, which keeps backward deterministic."""
+    """Max pooling with square windows: a running max over the k*k strided
+    slices ``x[:, :, i::stride, j::stride]``. Backward walks the slices in
+    row-major (i, j) order and routes each output's gradient to the first
+    slice equal to its max that no earlier slice claimed, so ties go to the
+    first maximal element of the window and backward is deterministic."""
     if x.data.ndim != 4:
         raise ConfigError("maxpool2d expects [N,C,H,W] input")
     if kernel < 1 or stride < 1:
@@ -441,20 +444,27 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, tape: Tape | None = None) -> 
     n, c, h, w = x.shape
     if h < kernel or w < kernel:
         raise ConfigError(f"pool kernel {kernel} larger than input {h}x{w}")
-    win = sliding_window_view(x.data, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    n_, c_, ho, wo, _, _ = win.shape
-    wf = win.reshape(n, c, ho, wo, kernel * kernel)
-    arg = wf.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(wf, arg[..., None], axis=-1)[..., 0])
+    ho, wo = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    xd = x.data
+    slices = [np.s_[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+              for i in range(kernel) for j in range(kernel)]
+    m = xd[slices[0]].copy()
+    for sl in slices[1:]:
+        np.maximum(m, xd[sl], out=m)
+    out = Tensor(m)
 
     if tape is not None:
 
         def bwd(gout: np.ndarray) -> None:
-            gx = np.zeros_like(x.data)
-            ni, ci, hi, wi = np.indices((n, c, ho, wo), sparse=False)
-            rows = hi * stride + arg // kernel
-            cols = wi * stride + arg % kernel
-            np.add.at(gx, (ni, ci, rows, cols), gout)
+            free = np.ones(m.shape, dtype=bool)
+            hits = []
+            for sl in slices:
+                hits.append(free & (xd[sl] == m))
+                free &= ~hits[-1]
+            gx = np.zeros_like(xd)
+            # walked backwards, each input element sums its outputs in row-major order
+            for sl, hit in zip(slices[::-1], hits[::-1]):
+                gx[sl] += gout * hit
             _accum(x, gx)
 
         tape.record("maxpool2d", [x], out, bwd)
@@ -505,7 +515,7 @@ def loss(pred: Tensor, target, kind: str, tape: Tape | None = None) -> Tensor:
     ``cross_entropy`` applies softmax to ``pred`` [N,K] and takes the
     negative log-likelihood of integer ``target`` labels. ``mse`` is the
     mean squared difference over all elements; the target carries no
-    gradient in either case.
+    gradient. Both means sum in float64, so sample order does not matter.
     """
     if kind == "cross_entropy":
         if pred.data.ndim != 2:
@@ -525,7 +535,7 @@ def loss(pred: Tensor, target, kind: str, tape: Tape | None = None) -> Tensor:
         z = pred.data - pred.data.max(axis=1, keepdims=True)
         lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
         logp = z - lse
-        out = Tensor(np.asarray(-logp[np.arange(n), labels].mean(), dtype=pred.dtype))
+        out = Tensor(np.asarray(-logp[np.arange(n), labels].mean(dtype=np.float64), pred.dtype))
         _check_finite(out.data, "cross_entropy")
         if tape is not None:
             softmax = np.exp(logp)
@@ -543,7 +553,7 @@ def loss(pred: Tensor, target, kind: str, tape: Tape | None = None) -> Tensor:
         if tdata.shape != pred.shape:
             raise ConfigError(f"mse: shape mismatch {pred.shape} vs {tdata.shape}")
         diff = pred.data - tdata
-        out = Tensor(np.asarray(np.mean(diff * diff), dtype=pred.dtype))
+        out = Tensor(np.asarray(np.mean(diff * diff, dtype=np.float64), dtype=pred.dtype))
         _check_finite(out.data, "mse")
         if tape is not None:
 

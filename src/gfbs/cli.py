@@ -36,8 +36,10 @@ from .oracle import (
 )
 from .saliency import (
     PruneConfig,
+    normalize_layerwise,
     read_saliency_csv,
     saliency_records,
+    score,
     write_saliency_csv,
 )
 from .surgeon import apply_prune, plan_prune, validate_plan, write_plan
@@ -108,10 +110,7 @@ def _train_config(args, data) -> TrainConfig:
     elif name == "auto_finetune":
         name = "denoise_finetune" if data.task == "denoise" else "classify_finetune"
     cfg = presets[name](seed=args.seed)
-    overrides = {}
-    if args.config:
-        with open(args.config) as fh:
-            overrides.update(json.load(fh))
+    overrides = _read_config(args.config) if args.config else {}
     for field_name in ("epochs", "batch_size", "lr"):
         value = getattr(args, field_name, None)
         if value is not None:
@@ -120,6 +119,10 @@ def _train_config(args, data) -> TrainConfig:
         bad = set(overrides) - set(TrainConfig.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown train config fields: {sorted(bad)}")
+        for field_name, value in overrides.items():
+            if not _field_type_ok(field_name, value):
+                raise ConfigError(f"train config field {field_name!r} has the wrong type: "
+                                  f"{value!r}")
         merged = {**vars(cfg), **overrides}
         milestones = tuple(merged["lr_milestones"])
         if "lr_milestones" not in overrides:
@@ -128,6 +131,31 @@ def _train_config(args, data) -> TrainConfig:
         merged["lr_milestones"] = milestones
         cfg = TrainConfig(**merged)
     return cfg
+
+
+def _read_config(path) -> dict:
+    """The JSON object of a ``--config`` file; anything else is a ConfigError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ConfigError(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object of train config fields")
+    return doc
+
+
+def _field_type_ok(name: str, value) -> bool:
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if name in ("lr", "lr_decay", "momentum", "weight_decay"):
+        return is_int(value) or isinstance(value, float)
+    if name == "lr_milestones":
+        return isinstance(value, (list, tuple)) and all(is_int(m) for m in value)
+    if name in ("loss", "optimizer"):
+        return isinstance(value, str) or (name == "loss" and value is None)
+    return is_int(value)  # epochs, batch_size, seed, eval_every
 
 
 def _add_train_flags(sp) -> None:
@@ -192,7 +220,7 @@ def cmd_oracle(args) -> int:
             net, x, y, data.loss_kind, picks)
 
     if args.saliency:
-        sal = read_saliency_csv(args.saliency)
+        sal = read_saliency_csv(args.saliency, net.spec)
         by_ref = {(r.layer, r.channel): r.score for r in sal}
         group_scores, deltas = [], []
         for r in records:
@@ -219,10 +247,15 @@ def cmd_oracle(args) -> int:
 def cmd_prune(args) -> int:
     out = _outdir(args)
     net = load_checkpoint(args.ckpt)
-    records = read_saliency_csv(args.saliency)
+    records = read_saliency_csv(args.saliency, net.spec)
     cfg = PruneConfig(lam=args.lam, tau=args.tau, criterion=args.criterion,
                       min_keep=args.min_keep)
-    plan = plan_prune(net, records, cfg)
+    # the CSV lacks the filter norms: take them from the checkpoint, then rank
+    # by the flags' criterion and lambda, so plan.json names what was used
+    l1 = {i: np.abs(net.params[i].weight.data).sum(axis=(1, 2, 3)) for i in net.bn_blocks()}
+    for r in records:
+        r.weight_l1 = float(l1[r.layer][r.channel])
+    plan = plan_prune(net, score(normalize_layerwise(records, ("weight_l1",)), cfg), cfg)
     report = validate_plan(net, plan)
     if not report.ok:
         raise ConfigError("plan failed validation: " + "; ".join(report.violations))

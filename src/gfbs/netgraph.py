@@ -22,6 +22,8 @@ nest like parentheses and both streams must agree in shape at the join.
 from __future__ import annotations
 
 import io
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -553,6 +555,7 @@ def load_checkpoint(path) -> Network:
         except UnicodeDecodeError as exc:
             raise FormatError("checkpoint spec text is not valid UTF-8") from exc
         spec = parse_spec(spec_text)
+        file_size = os.fstat(fh.fileno()).st_size
         loaded: dict[str, np.ndarray] = {}
         while True:
             head = fh.read(4)
@@ -561,13 +564,23 @@ def load_checkpoint(path) -> Network:
             if len(head) != 4:
                 raise FormatError("truncated checkpoint while reading record header")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError("checkpoint tensor name is not valid UTF-8") from exc
+            if name in loaded:
+                raise FormatError(f"checkpoint holds tensor {name} twice")
             tag, ndim = struct.unpack("<BB", _read_exact(fh, 2, "dtype/ndim"))
             if tag not in _TAG_DTYPES:
                 raise FormatError(f"unknown dtype tag {tag} for {name}")
-            dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims"))
             dtype = _TAG_DTYPES[tag]
-            nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+            if loaded and dtype != next(iter(loaded.values())).dtype:
+                raise FormatError(f"checkpoint mixes dtypes: {name} is {dtype.name}")
+            dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims"))
+            nbytes = math.prod(dims) * dtype.itemsize  # exact: Python ints do not overflow
+            if nbytes > file_size - fh.tell():
+                raise FormatError(f"checkpoint declares {nbytes} bytes for {name}, "
+                                  f"but only {file_size - fh.tell()} remain")
             raw = _read_exact(fh, nbytes, f"data of {name}")
             loaded[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
 

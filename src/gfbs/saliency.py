@@ -25,7 +25,7 @@ import numpy as np
 
 from .autograd import Tape, Tensor, backward, loss as loss_op
 from .errors import ConfigError, FormatError
-from .netgraph import ChannelRef, Network, forward_full, group_lookup
+from .netgraph import BN_KINDS, ChannelRef, Network, NetworkSpec, forward_full, group_lookup
 
 CRITERIA = ("gfbs", "gamma_only", "beta_only", "l1_filter")
 
@@ -136,22 +136,26 @@ def _looks_untrained(net: Network, bn_blocks: list[int]) -> bool:
     return True
 
 
-def normalize_layerwise(records: list[SaliencyRecord]) -> list[SaliencyRecord]:
-    """Scale each layer's gamma / grad_gamma / beta / weight_l1 vectors to
-    unit Euclidean norm, in place. All-zero vectors stay all-zero."""
+NORM_FIELDS = ("gamma", "grad_gamma", "beta", "weight_l1")
+
+
+def normalize_layerwise(records: list[SaliencyRecord],
+                        fields: tuple[str, ...] = NORM_FIELDS) -> list[SaliencyRecord]:
+    """Scale each layer's vector of every raw field in ``fields`` (default:
+    gamma, grad_gamma, beta, weight_l1) to unit Euclidean norm and store it
+    in the matching ``_n`` field, in place. All-zero vectors stay all-zero."""
     by_layer: dict[int, list[SaliencyRecord]] = {}
     for r in records:
         by_layer.setdefault(r.layer, []).append(r)
     for layer_records in by_layer.values():
-        for raw, out in (("gamma", "gamma_n"), ("grad_gamma", "grad_gamma_n"),
-                         ("beta", "beta_n"), ("weight_l1", "weight_l1_n")):
+        for raw in fields:
             vec = np.array([getattr(r, raw) for r in layer_records], dtype=np.float64)
             peak = float(np.abs(vec).max())
             if peak > 0:  # dividing by the peak first keeps the norm from underflowing
                 vec = vec / peak
                 vec = vec / np.linalg.norm(vec)
             for r, v in zip(layer_records, vec):
-                setattr(r, out, float(v))
+                setattr(r, raw + "_n", float(v))
     return records
 
 
@@ -199,7 +203,10 @@ def write_saliency_csv(records: list[SaliencyRecord], path) -> None:
             ])
 
 
-def read_saliency_csv(path) -> list[SaliencyRecord]:
+def read_saliency_csv(path, spec: NetworkSpec) -> list[SaliencyRecord]:
+    """Records of a saliency CSV written for ``spec``. ``has_relu`` comes from
+    each row's block kind; ``weight_l1`` and ``weight_l1_n`` are not in the
+    CSV and read as 0."""
     records: list[SaliencyRecord] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -210,10 +217,15 @@ def read_saliency_csv(path) -> list[SaliencyRecord]:
             if len(row) != len(CSV_HEADER):
                 raise FormatError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
             try:
+                layer, channel = int(row[0]), int(row[1])
+                block = spec.blocks[layer] if 0 <= layer < len(spec.blocks) else None
+                if block is None or block.kind not in BN_KINDS or not 0 <= channel < block.channels:
+                    raise FormatError(f"{path}:{lineno}: spec {spec.name!r} has no "
+                                      f"norm channel {channel} in block {layer}")
                 records.append(SaliencyRecord(
-                    layer=int(row[0]), channel=int(row[1]),
+                    layer=layer, channel=channel,
                     gamma=float(row[2]), grad_gamma=float(row[3]), beta=float(row[4]),
-                    weight_l1=0.0, has_relu=True, group=int(row[9]),
+                    weight_l1=0.0, has_relu=block.kind == "conv_bn_relu", group=int(row[9]),
                     gamma_n=float(row[5]), grad_gamma_n=float(row[6]),
                     beta_n=float(row[7]), score=float(row[8]), rank=int(row[10])))
             except ValueError as exc:

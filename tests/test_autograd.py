@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gfbs.autograd import (
     SGD,
@@ -273,6 +276,182 @@ class TestMaxpool:
             return loss(flatten(y, tape), t0, "mse", tape=tape)
 
         gradcheck(build, [x0])
+
+
+# ---------------------------------------------------------------------------
+# conv and pool kernels against loop references and the earlier kernels
+
+
+def _forward_backward(op, x, gout, *args):
+    """Run ``op`` on a tape and push ``gout`` through its one backward node."""
+    tape = Tape()
+    out = op(x, *args, tape=tape)
+    (node,) = tape.nodes
+    node.backward_fn(gout)
+    return out
+
+
+def _conv_reference(x, w, b, stride, padding, gout):
+    """out, dx, dw, db of a cross-correlation, by a loop over output positions."""
+    k = w.shape[2]
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    w = w.astype(np.float64)
+    gout = gout.astype(np.float64)
+    out = np.empty(gout.shape)
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(gout.shape[2]):
+        for j in range(gout.shape[3]):
+            rows, cols = slice(i * stride, i * stride + k), slice(j * stride, j * stride + k)
+            patch = xp[:, :, rows, cols]
+            out[:, :, i, j] = np.einsum("nckl,ockl->no", patch, w) + b
+            dxp[:, :, rows, cols] += np.einsum("no,ockl->nckl", gout[:, :, i, j], w)
+            dw += np.einsum("no,nckl->ockl", gout[:, :, i, j], patch)
+    h, wd = x.shape[2:]
+    dx = dxp[:, :, padding:padding + h, padding:padding + wd]
+    return out, dx, dw, gout.sum(axis=(0, 2, 3))
+
+
+def _pool_reference(x, k, stride, gout):
+    """out, dx of max pooling by a loop over output positions; each window's
+    gradient goes to its first maximum in row-major order."""
+    n, c, ho, wo = gout.shape
+    out = np.empty(gout.shape, dtype=x.dtype)
+    dx = np.zeros_like(x)
+    ni, ci = np.indices((n, c))
+    for i in range(ho):
+        for j in range(wo):
+            win = x[:, :, i * stride:i * stride + k, j * stride:j * stride + k].reshape(n, c, k * k)
+            arg = win.argmax(axis=2)
+            out[:, :, i, j] = np.take_along_axis(win, arg[..., None], axis=2)[..., 0]
+            dx[ni, ci, i * stride + arg // k, j * stride + arg % k] += gout[:, :, i, j]
+    return out, dx
+
+
+def _earlier_conv_dx(x, w, stride, padding, gout):
+    """dx as the earlier kernel formed it, from [N*Ho*Wo, C*k*k] columns."""
+    n, c, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    ho, wo = gout.shape[2:]
+    g2 = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, c_out)
+    g6 = (g2 @ w.reshape(c_out, -1)).reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    gxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, :, :, i, j]
+    return gxp[:, :, padding:padding + h, padding:padding + wd]
+
+
+def _earlier_maxpool(x, k, stride, gout):
+    """out, dx as the earlier kernel formed them: argmax and np.add.at."""
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c, ho, wo = win.shape[:4]
+    wf = win.reshape(n, c, ho, wo, k * k)
+    arg = wf.argmax(axis=-1)
+    out = np.take_along_axis(wf, arg[..., None], axis=-1)[..., 0]
+    dx = np.zeros_like(x)
+    ni, ci, hi, wi = np.indices((n, c, ho, wo))
+    np.add.at(dx, (ni, ci, hi * stride + arg // k, wi * stride + arg % k), gout)
+    return out, dx
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    stride = draw(st.sampled_from([1, 2, 3]))
+    padding = draw(st.sampled_from([0, 1, 2]))
+    h = draw(st.integers(max(1, k - 2 * padding), 9))
+    w = draw(st.integers(max(1, k - 2 * padding), 9).filter(lambda v: v != h))
+    shape = (draw(st.integers(1, 3)), draw(st.sampled_from([1, 3])), h, w)
+    c_out = draw(st.sampled_from([1, 4]))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return shape, c_out, k, stride, padding, dtype, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def pool_cases(draw):
+    k, stride = draw(st.sampled_from([(2, 2), (3, 2), (3, 1), (2, 3)]))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             draw(st.integers(k, 11)), draw(st.integers(k, 11)))
+    ties = draw(st.booleans())
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return shape, k, stride, ties, dtype, draw(st.integers(0, 2**32 - 1))
+
+
+class TestConvKernel:
+    @given(conv_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_reference(self, case):
+        (n, c_in, h, w), c_out, k, stride, padding, dtype, seed = case
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal((n, c_in, h, w)).astype(dtype)
+        w0 = rng.standard_normal((c_out, c_in, k, k)).astype(dtype)
+        b0 = rng.standard_normal(c_out).astype(dtype)
+        ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+        gout = rng.standard_normal((n, c_out, ho, wo)).astype(dtype)
+        x, params = Tensor(x0), ConvParams(Tensor(w0), Tensor(b0))
+        out = _forward_backward(conv2d, x, gout, params, stride, padding)
+        got = (out.data, x.grad, params.weight.grad, params.bias.grad)
+        tol = 1e-10 if dtype == np.float64 else 1e-4
+        for g, want in zip(got, _conv_reference(x0, w0, b0, stride, padding, gout)):
+            assert g.dtype == dtype and g.shape == want.shape
+            np.testing.assert_allclose(g, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("shape,c_out,stride,padding", [
+        ((16, 32, 12, 12), 32, 1, 1),  # tinydncnn
+        ((32, 16, 8, 8), 32, 1, 1),  # tinyvgg
+        ((3, 2, 9, 7), 5, 2, 1),
+        ((2, 3, 8, 11), 4, 3, 2),
+    ])
+    def test_dx_bit_identical_to_earlier_kernel(self, shape, c_out, stride, padding):
+        rng = np.random.default_rng(7)
+        x0 = rng.standard_normal(shape).astype(np.float32)
+        w0 = rng.standard_normal((c_out, shape[1], 3, 3)).astype(np.float32)
+        x, params = Tensor(x0), ConvParams(Tensor(w0), Tensor(np.zeros(c_out, np.float32)))
+        ho = (shape[2] + 2 * padding - 3) // stride + 1
+        wo = (shape[3] + 2 * padding - 3) // stride + 1
+        gout = rng.standard_normal((shape[0], c_out, ho, wo)).astype(np.float32)
+        _forward_backward(conv2d, x, gout, params, stride, padding)
+        np.testing.assert_array_equal(x.grad, _earlier_conv_dx(x0, w0, stride, padding, gout))
+
+
+class TestPoolKernel:
+    @given(pool_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_reference(self, case):
+        (n, c, h, w), k, stride, ties, dtype, seed = case
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal((n, c, h, w))
+        if ties:  # a few distinct values, so most windows hold several maxima
+            x0 = np.round(x0)
+        x0 = x0.astype(dtype)
+        ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
+        gout = rng.standard_normal((n, c, ho, wo)).astype(dtype)
+        x = Tensor(x0)
+        out = _forward_backward(maxpool2d, x, gout, k, stride)
+        want_out, want_dx = _pool_reference(x0, k, stride, gout)
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(x.grad, want_dx)
+
+    @pytest.mark.parametrize("shape,k,stride", [
+        ((32, 16, 16, 16), 2, 2),  # tinyvgg
+        ((4, 3, 11, 9), 2, 2),
+        ((4, 3, 11, 9), 3, 2),
+        ((4, 3, 11, 9), 3, 1),
+        ((4, 3, 11, 9), 2, 3),
+    ])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_bit_identical_to_earlier_kernel(self, shape, k, stride, ties):
+        rng = np.random.default_rng(11)
+        x0 = rng.standard_normal(shape)
+        x0 = (np.round(x0 * 2) if ties else x0).astype(np.float32)
+        ho, wo = (shape[2] - k) // stride + 1, (shape[3] - k) // stride + 1
+        gout = rng.standard_normal((shape[0], shape[1], ho, wo)).astype(np.float32)
+        x = Tensor(x0)
+        out = _forward_backward(maxpool2d, x, gout, k, stride)
+        want_out, want_dx = _earlier_maxpool(x0, k, stride, gout)
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(x.grad, want_dx)
 
 
 class TestLinearAndLoss:

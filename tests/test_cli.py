@@ -8,10 +8,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gfbs.cli import main
 from gfbs.netgraph import load_checkpoint
+from gfbs.saliency import CSV_HEADER
 
 DATA = "shapes:n_train=192,n_test=48,size=12,seed=3"
 SPEC_TEXT = """\
@@ -146,6 +148,44 @@ class TestPruneCommand:
         assert 0.0 <= doc["metric"] <= 1.0
 
 
+    def prune_removed(self, ckpt, csv, out, *flags):
+        rc = main(["prune", "--ckpt", str(ckpt), "--saliency", str(csv),
+                   "--tau", "0.25", "--out", str(out), *flags])
+        assert rc == 0
+        doc = json.loads((out / "plan.json").read_text())
+        return doc, [(r["layer"], r["channel"]) for r in doc["removed"]]
+
+    def test_lambda_flag_rescores(self, workdir, tmp_path):
+        # crafted so the shift decides: the Taylor term rises with the row
+        # index k while beta_n falls with it; the CSV's own scores are all 0
+        csv = tmp_path / "crafted.csv"
+        rows = [",".join(CSV_HEADER)]
+        for k, (layer, ch) in enumerate([(0, c) for c in range(8)] + [(2, c) for c in range(8)]):
+            rows.append(f"{layer},{ch},1,1,1,{(k + 1) / 16},1,{(15 - k) / 16},0,{k},{k}")
+        csv.write_text("\n".join(rows) + "\n")
+        ckpt = workdir / "train" / "baseline.ckpt"
+        doc0, removed0 = self.prune_removed(ckpt, csv, tmp_path / "lam0", "--lambda", "0")
+        doc9, removed9 = self.prune_removed(ckpt, csv, tmp_path / "lam9", "--lambda", "9")
+        assert (doc0["lambda"], doc9["lambda"]) == (0.0, 9.0)
+        assert removed0 == [(0, 0), (0, 1), (0, 2), (0, 3)]
+        assert removed9 == [(2, 4), (2, 5), (2, 6), (2, 7)]
+
+    def test_l1_filter_follows_filter_norms(self, workdir, saliency_dir, tmp_path):
+        ckpt = workdir / "train" / "baseline.ckpt"
+        csv = saliency_dir / "saliency.csv"
+        doc, removed = self.prune_removed(ckpt, csv, tmp_path / "l1", "--criterion", "l1_filter")
+        _, removed_gfbs = self.prune_removed(ckpt, csv, tmp_path / "gfbs")
+        net = load_checkpoint(ckpt)
+        norms = []
+        for layer in (0, 2):
+            l1 = np.abs(net.params[layer].weight.data).sum(axis=(1, 2, 3)).astype(np.float64)
+            norms += [(v / np.linalg.norm(l1), layer, c) for c, v in enumerate(l1)]
+        expected = sorted((layer, c) for _, layer, c in sorted(norms)[:4])
+        assert doc["criterion"] == "l1_filter"
+        assert removed == expected
+        assert removed != removed_gfbs
+
+
 class TestReportCommand:
     def test_aggregates_existing_artifacts(self, workdir, saliency_dir):
         prune_out = workdir / "prune_rep"
@@ -195,6 +235,24 @@ class TestExitCodes:
         rc = main(["train", "--spec", str(spec), "--data", DATA,
                    "--out", str(tmp_path / "out")])
         assert rc == 4
+
+
+    @pytest.mark.parametrize("text", [
+        '{"epochs": ',  # invalid JSON
+        '[{"epochs": 2}]',  # not an object
+        '{"epochs": "2"}',  # wrong field type
+        '{"lr_milestones": 3}',
+    ])
+    def test_bad_config_file_is_one_line_config_error(self, workdir, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = subprocess.run(
+            [sys.executable, "-m", "gfbs.cli", "train", "--spec", str(workdir / "net.spec"),
+             "--data", DATA, "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
 
 
 def test_console_script_help():

@@ -1,0 +1,59 @@
+"""Per-op timings of the conv and max-pool kernels at the layer shapes of
+the tinydncnn and tinyvgg nets, one forward plus backward per round.
+
+    pytest tests/test_kernel_bench.py --benchmark-only
+
+prints the ms per op. The tests assert output shapes and finiteness only,
+never a time, so they cannot flake on a slow host.
+"""
+
+import numpy as np
+import pytest
+
+from gfbs.autograd import ConvParams, Tape, Tensor, backward, conv2d, maxpool2d, reduce_sum
+
+pytest.importorskip("pytest_benchmark")
+
+ROUNDS = 5
+
+# N, C_in, C_out, H = W; 3x3 kernels, stride 1, padding 1
+CONV_SHAPES = {"tinydncnn": (16, 32, 32, 12), "tinyvgg": (32, 16, 32, 8)}
+
+
+def _f32(rng, *shape):
+    return Tensor(rng.standard_normal(shape), dtype=np.float32)
+
+
+def _forward_backward(op, x, *args):
+    tape = Tape()
+    out = op(x, *args, tape=tape)
+    backward(tape, reduce_sum(out, tape=tape))
+    return out, x
+
+
+@pytest.mark.parametrize("net", sorted(CONV_SHAPES))
+def test_conv2d_forward_backward(benchmark, net):
+    n, c_in, c_out, hw = CONV_SHAPES[net]
+    rng = np.random.default_rng(0)
+
+    def setup():
+        params = ConvParams(_f32(rng, c_out, c_in, 3, 3), _f32(rng, c_out))
+        return (conv2d, _f32(rng, n, c_in, hw, hw), params, 1, 1), {}
+
+    out, x = benchmark.pedantic(_forward_backward, setup=setup, rounds=ROUNDS)
+    assert out.shape == (n, c_out, hw, hw) and out.dtype == np.float32
+    assert x.grad.shape == x.shape
+    assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
+
+
+def test_maxpool2d_forward_backward(benchmark):
+    # tinyvgg's first pool: 16 channels of 16x16, 2x2 windows, stride 2
+    rng = np.random.default_rng(0)
+
+    def setup():
+        return (maxpool2d, _f32(rng, 32, 16, 16, 16), 2, 2), {}
+
+    out, x = benchmark.pedantic(_forward_backward, setup=setup, rounds=ROUNDS)
+    assert out.shape == (32, 16, 8, 8)
+    assert x.grad.shape == x.shape
+    assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()

@@ -1,5 +1,7 @@
 """Tests for spec parsing, network building, forward, FLOPs, groups, I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,25 @@ class TestCouplingGroups:
                 assert table[m] == g.group_id
 
 
+def _write_ckpt(path, spec_text, records):
+    """Write a checkpoint byte by byte, as ``save_checkpoint`` lays it out.
+
+    ``records`` holds (name, dtype tag, dims, raw bytes) tuples."""
+    spec_bytes = spec_text.encode("utf-8")
+    buf = b"GFBS" + struct.pack("<I", 1) + struct.pack("<I", len(spec_bytes)) + spec_bytes
+    for name, tag, dims, raw in records:
+        nb = name.encode("utf-8")
+        buf += struct.pack("<I", len(nb)) + nb + struct.pack("<BB", tag, len(dims))
+        buf += b"".join(struct.pack("<I", d) for d in dims) + raw
+    path.write_bytes(buf)
+
+
+def _tiny_records(seed=0):
+    net = build_network(parse_spec(TINY), seed=seed)
+    return format_spec(net.spec), [(name, 0, t.shape, t.data.tobytes())
+                                   for name, t in net.named_tensors().items()]
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = build_network(parse_spec(TINY), seed=123)
@@ -361,6 +382,38 @@ class TestCheckpoint:
         p = tmp_path / "x.ckpt"
         p.write_bytes(b"")
         with pytest.raises(FormatError):
+            load_checkpoint(p)
+
+    def test_struct_writer_matches_save(self, tmp_path):
+        spec_text, records = _tiny_records(seed=3)
+        _write_ckpt(tmp_path / "a.ckpt", spec_text, records)
+        save_checkpoint(build_network(parse_spec(TINY), seed=3), tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_huge_dims_are_a_format_error(self, tmp_path):
+        # 2**31 * 2**31 * 2**31 * 4 elements wrap to 0 in int64
+        spec_text, _ = _tiny_records()
+        p = tmp_path / "huge.ckpt"
+        _write_ckpt(p, spec_text, [("b0.weight", 0, (2**31, 2**31, 2**31, 4), b"\0" * 64)])
+        with pytest.raises(FormatError, match="declares"):
+            load_checkpoint(p)
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        spec_text, records = _tiny_records()
+        name, tag, dims, raw = records[1]
+        p = tmp_path / "dup.ckpt"
+        _write_ckpt(p, spec_text, records + [(name, tag, dims, bytes(len(raw)))])
+        with pytest.raises(FormatError, match="twice"):
+            load_checkpoint(p)
+
+    def test_mixed_dtypes_rejected(self, tmp_path):
+        spec_text, records = _tiny_records()
+        name, _, dims, raw = records[2]
+        wide = np.frombuffer(raw, dtype=np.float32).astype(np.float64).tobytes()
+        records[2] = (name, 1, dims, wide)
+        p = tmp_path / "mixed.ckpt"
+        _write_ckpt(p, spec_text, records)
+        with pytest.raises(FormatError, match="mixes dtypes"):
             load_checkpoint(p)
 
     def test_float64_round_trip(self, tmp_path):

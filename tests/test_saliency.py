@@ -29,9 +29,22 @@ linear 3
 """
 
 
-def trained_ish_net(seed=0, dtype=np.float64):
+SKIP_BLOCK = """\
+input 1 8 8
+conv_bn_relu 4 3 1 1
+residual_begin
+conv_bn_relu 4 3 1 1
+conv_bn 4 3 1 1
+residual_add
+pool 0 2 2 0
+flatten
+linear 3
+"""
+
+
+def trained_ish_net(seed=0, dtype=np.float64, text=TWO_BLOCK):
     """A net with non-default norm parameters so captures are informative."""
-    net = build_network(parse_spec(TWO_BLOCK), seed=seed, dtype=dtype)
+    net = build_network(parse_spec(text), seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed + 100)
     for i in net.bn_blocks():
         p = net.params[i]
@@ -245,7 +258,7 @@ class TestCsv:
         recs = self.full_records()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_saliency_csv(recs, p1)
-        loaded = read_saliency_csv(p1)
+        loaded = read_saliency_csv(p1, parse_spec(TWO_BLOCK))
         write_saliency_csv(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
@@ -255,7 +268,7 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("layer,channel,score\n0,0,1.0\n")
         with pytest.raises(FormatError):
-            read_saliency_csv(p)
+            read_saliency_csv(p, parse_spec(TWO_BLOCK))
 
     def test_bad_field_count(self, tmp_path):
         recs = self.full_records()
@@ -263,7 +276,32 @@ class TestCsv:
         write_saliency_csv(recs, p)
         p.write_text(p.read_text() + "1,2,3\n")
         with pytest.raises(FormatError):
-            read_saliency_csv(p)
+            read_saliency_csv(p, parse_spec(TWO_BLOCK))
+
+    def test_has_relu_follows_the_block_kind(self, tmp_path):
+        # a conv_bn channel has no ReLU after it, so rescoring the CSV must not
+        # add the shift term to it: the scores written are the scores re-derived
+        net = trained_ish_net(text=SKIP_BLOCK)
+        x, y = probe_batch(net)
+        recs = saliency_records(net, x, y, "cross_entropy", PruneConfig(lam=0.5))
+        p = tmp_path / "a.csv"
+        write_saliency_csv(recs, p)
+        loaded = read_saliency_csv(p, net.spec)
+        assert [r.has_relu for r in loaded] == [r.has_relu for r in recs]
+        assert {r.layer for r in loaded if not r.has_relu} == {3}
+        written = [r.score for r in loaded]
+        score(loaded, PruneConfig(lam=0.5))
+        np.testing.assert_allclose([r.score for r in loaded], written, rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("row", ["1,0", "0,4", "5,0"])
+    def test_rows_outside_the_spec_rejected(self, tmp_path, row):
+        # block 1 is a pool, block 0 has 4 channels, block 5 does not exist
+        recs = self.full_records()
+        p = tmp_path / "a.csv"
+        write_saliency_csv(recs, p)
+        p.write_text(p.read_text() + row + ",1,1,1,1,1,1,1,0,0\n")
+        with pytest.raises(FormatError, match="no norm channel"):
+            read_saliency_csv(p, parse_spec(TWO_BLOCK))
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -271,4 +309,4 @@ class TestCsv:
             ["layer", "channel", "gamma", "grad_gamma", "beta", "gamma_n",
              "grad_gamma_n", "beta_n", "score", "group", "rank"]) + "\n")
         with pytest.raises(FormatError):
-            read_saliency_csv(p)
+            read_saliency_csv(p, parse_spec(TWO_BLOCK))
