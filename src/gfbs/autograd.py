@@ -15,8 +15,8 @@ with ``dtype=np.float64``. Mixing precisions in one op is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,13 +55,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy())
-        return t
-
     def item(self) -> float:
         if self.size != 1:
             raise ConfigError(f"item() needs a scalar tensor, got shape {self.shape}")
@@ -71,18 +64,32 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
 
+_BUFFER = {"buffer": True}  # field metadata: persisted, never updated by an optimizer
+
+
+class _Params:
+    """Base of the parameter dataclasses. Their fields, in order, are the
+    persisted tensors (the checkpoint layout); all but buffers are learnable."""
+
+    def tensors(self) -> dict[str, Tensor]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def learnable(self) -> list[Tensor]:
+        return [getattr(self, f.name) for f in fields(self) if not f.metadata.get("buffer")]
+
+
 @dataclass
-class ParamSet:
+class ParamSet(_Params):
     """Learnable parameters of one Conv+BN unit plus its running statistics."""
 
     weight: Tensor  # [C_out, C_in, k, k]
     bias: Tensor  # [C_out]
     gamma: Tensor  # [C_out]
     beta: Tensor  # [C_out]
-    running_mean: Tensor  # [C_out]
-    running_var: Tensor  # [C_out]
-    eps: float = 1e-5
-    momentum: float = 0.1
+    running_mean: Tensor = field(metadata=_BUFFER)  # [C_out]
+    running_var: Tensor = field(metadata=_BUFFER)  # [C_out]
+    eps: ClassVar[float] = 1e-5
+    momentum: ClassVar[float] = 0.1
 
     def __post_init__(self):
         c_out = self.weight.shape[0]
@@ -90,10 +97,6 @@ class ParamSet:
             t = getattr(self, name)
             if t.shape != (c_out,):
                 raise ConfigError(f"{name} must have shape ({c_out},), got {t.shape}")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
-        if not 0.0 < self.momentum < 1.0:
-            raise ConfigError("momentum must lie in (0, 1)")
         if np.any(self.running_var.data < 0):
             raise ConfigError("running_var must be non-negative")
 
@@ -101,23 +104,9 @@ class ParamSet:
     def out_channels(self) -> int:
         return self.weight.shape[0]
 
-    def learnable(self) -> list[Tensor]:
-        return [self.weight, self.bias, self.gamma, self.beta]
-
-    def tensors(self) -> dict[str, Tensor]:
-        """All persisted tensors in a stable order (checkpoint layout)."""
-        return {
-            "weight": self.weight,
-            "bias": self.bias,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
-
 
 @dataclass
-class ConvParams:
+class ConvParams(_Params):
     """Plain convolution parameters (no normalization attached)."""
 
     weight: Tensor  # [C_out, C_in, k, k]
@@ -131,15 +120,9 @@ class ConvParams:
     def out_channels(self) -> int:
         return self.weight.shape[0]
 
-    def learnable(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
-
 
 @dataclass
-class LinearParams:
+class LinearParams(_Params):
     """Affine head parameters; weight is stored input-major as [D, K]."""
 
     weight: Tensor
@@ -148,12 +131,6 @@ class LinearParams:
     def __post_init__(self):
         if self.bias.shape != (self.weight.shape[1],):
             raise ConfigError("bias length must equal the number of output features")
-
-    def learnable(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
 
 
 class TapeNode:
@@ -595,8 +572,4 @@ class SGD:
             v *= self.momentum
             v += g
             p.data -= self.lr * v
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration problems, 3 numeric failures,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime as _dt
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import open_dataset
-from .errors import ConfigError, GfbsError
+from .errors import ConfigError, FormatError, GfbsError, open_text
 from .netgraph import (
     build_network,
     count_flops,
@@ -36,6 +37,7 @@ from .oracle import (
 )
 from .saliency import (
     PruneConfig,
+    capture,
     normalize_layerwise,
     read_saliency_csv,
     saliency_records,
@@ -51,6 +53,7 @@ from .trainer import (
     denoise_train_config,
     evaluate,
     finetune as run_finetune,
+    read_metrics,
     train as run_train,
     write_metrics,
 )
@@ -110,7 +113,7 @@ def _train_config(args, data) -> TrainConfig:
     elif name == "auto_finetune":
         name = "denoise_finetune" if data.task == "denoise" else "classify_finetune"
     cfg = presets[name](seed=args.seed)
-    overrides = _read_config(args.config) if args.config else {}
+    overrides = _read_json(args.config, ConfigError) if args.config else {}
     for field_name in ("epochs", "batch_size", "lr"):
         value = getattr(args, field_name, None)
         if value is not None:
@@ -133,16 +136,27 @@ def _train_config(args, data) -> TrainConfig:
     return cfg
 
 
-def _read_config(path) -> dict:
-    """The JSON object of a ``--config`` file; anything else is a ConfigError."""
+def _read_json(path, error) -> dict:
+    """The JSON object in ``path``; anything else raises ``error``
+    (ConfigError for a --config file, FormatError for an artifact)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except ValueError as exc:  # invalid JSON or invalid UTF-8
-        raise ConfigError(f"{path}: not a JSON file: {exc}") from exc
+        raise error(f"{path}: not a JSON file: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object of train config fields")
+        raise error(f"{path}: expected a JSON object")
     return doc
+
+
+@contextlib.contextmanager
+def _malformed(path):
+    """Turn a missing key or a value of the wrong type in an artifact
+    into a FormatError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed artifact: {type(exc).__name__} {exc}") from exc
 
 
 def _field_type_ok(name: str, value) -> bool:
@@ -171,7 +185,7 @@ def _add_train_flags(sp) -> None:
 
 def cmd_train(args) -> int:
     out = _outdir(args)
-    with open(args.spec) as fh:
+    with open_text(args.spec) as fh:
         spec = parse_spec(fh.read())
     data = open_dataset(args.data)
     net = build_network(spec, seed=args.seed)
@@ -319,49 +333,37 @@ def cmd_report(args) -> int:
 
     root = Path(args.dir) if args.dir else out
     sections: list[str] = ["# Pruning run report", ""]
-    plans = sorted(root.glob("**/plan.json"))
-    for plan_path in plans:
-        with open(plan_path) as fh:
-            doc = json.load(fh)
-        sections.append(f"## Plan `{plan_path.relative_to(root)}`")
-        sections.append("")
-        sections.append(f"spec `{doc['spec_name']}`, criterion {doc['criterion']}, "
-                        f"lambda {doc['lambda']}, tau {doc['tau']}, "
-                        f"achieved {doc['achieved_ratio']:.3f}, "
-                        f"flops ratio {doc['flops_ratio']:.3f}")
-        sections.append("")
-        sections.append("| layer slot | kept channels |")
-        sections.append("|---|---|")
-        for idx, kept in enumerate(doc["kept_per_layer"]):
-            sections.append(f"| {idx} | {len(kept)} |")
-        sections.append("")
+    for plan_path in sorted(root.glob("**/plan.json")):
+        doc = _read_json(plan_path, FormatError)
+        with _malformed(plan_path):
+            sections += [
+                f"## Plan `{plan_path.relative_to(root)}`", "",
+                f"spec `{doc['spec_name']}`, criterion {doc['criterion']}, "
+                f"lambda {doc['lambda']}, tau {doc['tau']}, "
+                f"achieved {doc['achieved_ratio']:.3f}, "
+                f"flops ratio {doc['flops_ratio']:.3f}", "",
+                "| layer slot | kept channels |", "|---|---|",
+                *(f"| {idx} | {len(kept)} |" for idx, kept in enumerate(doc["kept_per_layer"])),
+                ""]
     metrics = sorted(root.glob("**/metrics.csv"))
     if metrics:
-        sections.append("## Final metrics")
-        sections.append("")
-        sections.append("| run | split | loss | metric |")
-        sections.append("|---|---|---|---|")
+        sections += ["## Final metrics", "", "| run | split | loss | metric |", "|---|---|---|---|"]
         for mpath in metrics:
-            rows = mpath.read_text().strip().splitlines()[1:]
-            if not rows:
-                continue
-            last_test = [r for r in rows if r.split(",")[1] == "test"]
+            last_test = [m for m in read_metrics(mpath) if m.split == "test"]
             if last_test:
-                _, split, lval, mval = last_test[-1].split(",")
-                sections.append(f"| {mpath.parent.relative_to(root)} | {split} "
-                                f"| {float(lval):.4f} | {float(mval):.4f} |")
+                m = last_test[-1]
+                sections.append(f"| {mpath.parent.relative_to(root)} | {m.split} "
+                                f"| {m.loss:.4f} | {m.metric:.4f} |")
         sections.append("")
-    summaries = sorted(root.glob("**/summary.json"))
-    for spath in summaries:
-        with open(spath) as fh:
-            doc = json.load(fh)
+    for spath in sorted(root.glob("**/summary.json")):
+        doc = _read_json(spath, FormatError)
         if "spearman" in doc:
-            sections.append(f"## Oracle agreement `{spath.parent.relative_to(root)}`")
-            sections.append("")
-            sections.append(f"Spearman rho {doc['spearman']:.3f}; bottom-20% overlap "
-                            f"{doc['bottom20_overlap']}/{doc['bottom20_size']} "
-                            f"(random {doc['bottom20_random_expectation']:.2f})")
-            sections.append("")
+            with _malformed(spath):
+                sections += [
+                    f"## Oracle agreement `{spath.parent.relative_to(root)}`", "",
+                    f"Spearman rho {doc['spearman']:.3f}; bottom-20% overlap "
+                    f"{doc['bottom20_overlap']}/{doc['bottom20_size']} "
+                    f"(random {doc['bottom20_random_expectation']:.2f})", ""]
     (out / "report.md").write_text("\n".join(sections) + "\n")
     print(f"report written to {out / 'report.md'}")
     _write_manifest(out, "report", args)
@@ -375,14 +377,16 @@ def _sweep_lambda(args, out: Path) -> int:
     lambdas = [float(s) for s in args.lambdas.split(",")] if args.lambdas \
         else list(DEFAULT_LAMBDAS)
     ft_cfg = _train_config(args, data)
+    # the captured and normalized columns do not depend on lambda: probe once
     x, y = data.capture_batch(args.probe_batch)
+    captured = normalize_layerwise(capture(net, x, y, data.loss_kind))
     rows = []
     for lam in lambdas:
         sub = out / f"lambda_{lam:g}"
         sub.mkdir(parents=True, exist_ok=True)
         cfg = PruneConfig(lam=lam, tau=args.tau, min_keep=args.min_keep,
                           batch_size=args.probe_batch)
-        records = saliency_records(net.clone(), x, y, data.loss_kind, cfg)
+        records = score([dataclasses.replace(r) for r in captured], cfg)
         write_saliency_csv(records, sub / "saliency.csv")
         plan = plan_prune(net, records, cfg)
         write_plan(plan, sub / "plan.json")

@@ -25,7 +25,7 @@ import io
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -291,20 +291,8 @@ class Network:
         for t in self.parameters():
             t.grad = None
 
-    def clone(self, dtype=None) -> "Network":
-        new_params = []
-        for p in self.params:
-            if p is None:
-                new_params.append(None)
-                continue
-            kw = {}
-            for field_name, t in p.tensors().items():
-                kw[field_name] = Tensor(t.data.copy(), dtype=dtype or t.dtype)
-            if isinstance(p, ParamSet):
-                kw["eps"] = p.eps
-                kw["momentum"] = p.momentum
-            new_params.append(type(p)(**kw))
-        return Network(self.spec, new_params)
+    def clone(self) -> "Network":
+        return from_arrays(self.spec, {n: t.data.copy() for n, t in self.named_tensors().items()})
 
     def bn_blocks(self) -> list[int]:
         """Indices of blocks carrying batch-norm parameters."""
@@ -314,39 +302,59 @@ class Network:
         return sum(t.size for t in self.parameters())
 
 
+def _layout(node: Node) -> tuple[type | None, dict[str, tuple]]:
+    """The parameter class of one block and its tensor name -> shape map,
+    in checkpoint order; (None, {}) for blocks without parameters."""
+    b = node.block
+    if b.kind == "linear":
+        return LinearParams, {"weight": (node.in_shape[0], b.channels), "bias": (b.channels,)}
+    if b.kind not in CONV_KINDS:
+        return None, {}
+    cls = ParamSet if b.kind in BN_KINDS else ConvParams
+    weight = (b.channels, node.in_shape[0], b.kernel, b.kernel)
+    return cls, {f.name: weight if f.name == "weight" else (b.channels,) for f in fields(cls)}
+
+
+def from_arrays(spec: NetworkSpec, arrays: dict[str, np.ndarray]) -> Network:
+    """The network of ``spec`` holding ``arrays``, keyed ``b{i}.{field}`` as
+    ``Network.named_tensors`` names them. The arrays are used, not copied,
+    and keep their dtype. A missing, extra or misshapen array, or one the
+    parameter class rejects, is a ConfigError."""
+    layouts = [_layout(node) for node in spec.nodes]
+    expected = {f"b{i}.{name}": shape for i, (_, shapes) in enumerate(layouts)
+                for name, shape in shapes.items()}
+    if set(arrays) != set(expected):
+        missing = sorted(set(expected) - set(arrays))
+        extra = sorted(set(arrays) - set(expected))
+        raise ConfigError(f"tensor set mismatch: missing {missing}, extra {extra}")
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ConfigError(f"shape mismatch for {name}: {arrays[name].shape} vs spec {shape}")
+    params = []
+    for i, (cls, shapes) in enumerate(layouts):
+        named = {n: arrays[f"b{i}.{n}"] for n in shapes}
+        try:
+            params.append(cls(**{n: Tensor(a, dtype=a.dtype) for n, a in named.items()})
+                          if cls else None)
+        except ConfigError as exc:
+            raise ConfigError(f"block {i}: {exc}") from exc
+    return Network(spec, params)
+
+
 def build_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:
     """Allocate parameters for a spec: Kaiming fan-in normal conv/linear
     weights, unit gamma, zero beta and bias, fresh running statistics."""
     rng = np.random.default_rng(seed)
-    params: list = []
+    arrays: dict[str, np.ndarray] = {}
     for node in spec.nodes:
-        b = node.block
-        if b.kind in CONV_KINDS:
-            c_in = node.in_shape[0]
-            fan_in = c_in * b.kernel * b.kernel
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                           (b.channels, c_in, b.kernel, b.kernel))
-            if b.kind == "conv":
-                params.append(ConvParams(
-                    weight=Tensor(w, dtype=dtype),
-                    bias=Tensor(np.zeros(b.channels), dtype=dtype)))
+        for name, shape in _layout(node)[1].items():
+            if name == "weight":
+                fan_in = shape[0] if node.block.kind == "linear" else math.prod(shape[1:])
+                arr = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
             else:
-                params.append(ParamSet(
-                    weight=Tensor(w, dtype=dtype),
-                    bias=Tensor(np.zeros(b.channels), dtype=dtype),
-                    gamma=Tensor(np.ones(b.channels), dtype=dtype),
-                    beta=Tensor(np.zeros(b.channels), dtype=dtype),
-                    running_mean=Tensor(np.zeros(b.channels), dtype=dtype),
-                    running_var=Tensor(np.ones(b.channels), dtype=dtype)))
-        elif b.kind == "linear":
-            d = node.in_shape[0]
-            w = rng.normal(0.0, np.sqrt(2.0 / d), (d, b.channels))
-            params.append(LinearParams(
-                weight=Tensor(w, dtype=dtype),
-                bias=Tensor(np.zeros(b.channels), dtype=dtype)))
-        else:
-            params.append(None)
-    return Network(spec, params)
+                arr = np.ones(shape) if name in ("gamma", "running_var") else np.zeros(shape)
+            arrays[f"b{node.index}.{name}"] = arr.astype(dtype)
+    return from_arrays(spec, arrays)
 
 
 def forward_full(net: Network, batch: Tensor, mode: str, tape: Tape | None = None,
@@ -584,16 +592,7 @@ def load_checkpoint(path) -> Network:
             raw = _read_exact(fh, nbytes, f"data of {name}")
             loaded[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
 
-    net = build_network(spec, seed=0)
-    expected = net.named_tensors()
-    if set(loaded) != set(expected):
-        missing = sorted(set(expected) - set(loaded))
-        extra = sorted(set(loaded) - set(expected))
-        raise FormatError(f"checkpoint tensor set mismatch: missing {missing}, extra {extra}")
-    for name, arr in loaded.items():
-        if arr.shape != expected[name].shape:
-            raise FormatError(
-                f"checkpoint shape mismatch for {name}: "
-                f"{arr.shape} vs spec {expected[name].shape}")
-        expected[name].data = np.ascontiguousarray(arr)
-    return net
+    try:
+        return from_arrays(spec, loaded)
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint does not fit its spec: {exc}") from exc

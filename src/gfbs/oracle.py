@@ -5,9 +5,7 @@ measures the resulting loss change on a fixed minibatch. Removal is
 simulated by zeroing the group's norm scales: with gamma at zero the
 block's output collapses to its shift, exactly what structural removal
 plus a bias correction would produce, so no surgery is needed per probe.
-Also here: the first-order feature-map criterion (gradient times
-activation, reduced per channel) and Spearman rank correlation with
-average-rank tie handling.
+Also here: Spearman rank correlation with average-rank tie handling.
 """
 
 from __future__ import annotations
@@ -17,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tape, Tensor, backward, loss as loss_op
-from .errors import ConfigError, FormatError
+from .autograd import Tensor, loss as loss_op
+from .errors import ConfigError, FormatError, open_text
 from .netgraph import (
     ChannelRef,
     CouplingGroup,
@@ -50,15 +48,13 @@ def _batch_loss(net: Network, batch_x: np.ndarray, batch_y, loss_kind: str) -> f
 
 
 def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
-                      loss_kind: str,
-                      groups: list[CouplingGroup] | None = None) -> list[OracleRecord]:
+                      loss_kind: str) -> list[OracleRecord]:
     """|loss-with-group-zeroed - base loss| for every prunable group.
 
     The probe batch must be the same one the saliency capture used for
     the comparison to mean anything. The network is left bit-identical.
     """
-    if groups is None:
-        groups = net.spec.groups
+    groups = net.spec.groups
     if not groups:
         return []
     snapshot = {name: t.data.copy() for name, t in net.named_tensors().items()}
@@ -116,26 +112,6 @@ def spot_check_zero_equivalence(net: Network, batch_x: np.ndarray, batch_y,
 
         worst = max(worst, abs(via_gamma - via_filter))
     return worst
-
-
-def feature_taylor_saliency(net: Network, batch_x: np.ndarray, batch_y,
-                            loss_kind: str) -> dict[ChannelRef, float]:
-    """First-order criterion straight from feature maps:
-    |sum over batch and space of (dL/dF * F)| per pre-norm channel."""
-    trace: dict = {}
-    tape = Tape()
-    out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train",
-                       tape=tape, trace=trace, update_stats=False)
-    backward(tape, loss_op(out, batch_y, loss_kind, tape=tape))
-    scores: dict[ChannelRef, float] = {}
-    for i in net.bn_blocks():
-        pre = trace[i]["pre_bn"]
-        grad = pre.grad if pre.grad is not None else np.zeros_like(pre.data)
-        per_channel = np.abs((grad * pre.data).sum(axis=(0, 2, 3)))
-        for j, s in enumerate(per_channel):
-            scores[ChannelRef(i, j)] = float(s)
-    net.zero_grad()
-    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +191,7 @@ def write_oracle_csv(records: list[OracleRecord], path) -> None:
 
 def read_oracle_csv(path) -> list[OracleRecord]:
     by_group: dict[int, dict] = {}
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ORACLE_HEADER:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tape, Tensor, backward, loss as loss_op
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, open_text
 from .netgraph import BN_KINDS, ChannelRef, Network, NetworkSpec, forward_full, group_lookup
 
 CRITERIA = ("gfbs", "gamma_only", "beta_only", "l1_filter")
@@ -208,7 +208,7 @@ def read_saliency_csv(path, spec: NetworkSpec) -> list[SaliencyRecord]:
     each row's block kind; ``weight_l1`` and ``weight_l1_n`` are not in the
     CSV and read as 0."""
     records: list[SaliencyRecord] = []
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:

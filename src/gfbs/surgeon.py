@@ -7,12 +7,13 @@ removed-channel fraction past tau. Stopping (rather than hunting for
 smaller groups further down the list) keeps plans nested: the plan for a
 smaller tau is always a prefix of the plan for a larger one.
 
-Surgery copies weights into a freshly built network, slicing every conv
-on both its output axis (removed channels) and its input axis (channels
-its producer no longer emits), and re-indexing the first linear layer
-through the flatten map. Removing a channel discards its shift term too,
-so surgery agrees with zeroing all four of (W, b, gamma, beta); the
-shift's downstream constant is the piece finetuning later absorbs.
+Surgery builds the smaller network from slices of the old tensors: every
+tensor of a conv block loses its removed output channels, every conv
+weight also loses the input channels its producer no longer emits, and
+the first linear layer is re-indexed through the flatten map. Removing a
+channel discards its shift term too, so surgery agrees with zeroing all
+four of (W, b, gamma, beta); the shift's downstream constant is the
+piece finetuning later absorbs.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .netgraph import (
     ChannelRef,
     Network,
     NetworkSpec,
-    build_network,
     count_flops,
+    from_arrays,
     group_lookup,
 )
 from .saliency import PruneConfig, SaliencyRecord
@@ -123,38 +124,29 @@ def _pruned_spec(base: NetworkSpec, kept_per_layer: dict[int, tuple[int, ...]]) 
 
 
 def apply_prune(net: Network, plan: PrunePlan) -> Network:
-    """Build the smaller network and copy the surviving weights over."""
+    """Build the smaller network from the surviving slices of every tensor."""
     if plan.base_spec != net.spec:
         raise ConfigError("plan was made for a different network spec")
-    pruned = build_network(plan.spec, seed=0, dtype=net.dtype)
     kept = {-1: tuple(range(net.spec.in_channels)), **plan.kept_per_layer}
+    arrays: dict[str, np.ndarray] = {}
     for node in net.spec.nodes:
         i, b = node.index, node.block
-        old, new = net.params[i], pruned.params[i]
-        if b.kind in CONV_KINDS:
-            kept_out = list(kept[i])
-            new.weight.data = np.ascontiguousarray(
-                old.weight.data[np.ix_(kept_out, list(kept[node.src]))])
-            new.bias.data = old.bias.data[kept_out].copy()
-            if b.kind in BN_KINDS:
-                new.gamma.data = old.gamma.data[kept_out].copy()
-                new.beta.data = old.beta.data[kept_out].copy()
-                new.running_mean.data = old.running_mean.data[kept_out].copy()
-                new.running_var.data = old.running_var.data[kept_out].copy()
-        elif b.kind == "residual_add" and kept[node.skip_src] != kept[node.src]:
+        if b.kind == "residual_add" and kept[node.skip_src] != kept[node.src]:
             raise ConfigError(
                 f"plan splits the residual stream joined at block {i}: "
                 f"{list(kept[node.skip_src])} vs {list(kept[node.src])}")
-        elif b.kind == "linear":
-            flat = net.spec.nodes[i - 1]
-            if flat.block.kind == "flatten":
-                c, h, w = flat.in_shape
-                rows = [ch * h * w + s for ch in kept[flat.src] for s in range(h * w)]
-                new.weight.data = np.ascontiguousarray(old.weight.data[rows, :])
-            else:
-                new.weight.data = old.weight.data.copy()
-            new.bias.data = old.bias.data.copy()
-    return pruned
+        prev = net.spec.nodes[i - 1]
+        for name, t in (net.params[i].tensors() if net.params[i] else {}).items():
+            data = t.data
+            if b.kind in CONV_KINDS:  # every tensor's axis 0 is the output channel
+                data = data[list(kept[i])]
+                if name == "weight":
+                    data = data[:, list(kept[node.src])]
+            elif name == "weight" and prev.block.kind == "flatten":
+                h, w = prev.in_shape[1:]
+                data = data[[ch * h * w + s for ch in kept[prev.src] for s in range(h * w)]]
+            arrays[f"b{i}.{name}"] = np.array(data, order="C")
+    return from_arrays(plan.spec, arrays)
 
 
 def apply_mask(net: Network, plan: PrunePlan) -> Network:

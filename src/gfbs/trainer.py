@@ -18,7 +18,7 @@ import numpy as np
 
 from .autograd import SGD, Tape, Tensor, backward, loss as loss_op
 from .data import DatasetHandle
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError, open_text
 from .netgraph import Network, forward_full, save_checkpoint
 
 PSNR_CAP_DB = 100.0
@@ -96,10 +96,6 @@ class Adam:
             mhat = m / bc1
             vhat = v / bc2
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None
 
 
@@ -216,7 +212,7 @@ def write_metrics(history: list[Metrics], path) -> None:
 
 def read_metrics(path) -> list[Metrics]:
     out: list[Metrics] = []
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != METRICS_HEADER:

@@ -1,4 +1,10 @@
-"""Shared test utilities, chiefly the finite-difference gradient check."""
+"""Shared test utilities: the finite-difference gradient check and a
+runner for the command-line tool in a child process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -6,6 +12,16 @@ from gfbs.autograd import Tape, Tensor, backward
 
 FD_H = 1e-5
 FD_TOL = 1e-5
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """``python -m gfbs.cli ARGS`` in a child process that finds the package
+    in ``src`` without an install; stdout and stderr are captured as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "gfbs.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,11 +5,10 @@ subcommands run against it in throwaway directories.
 """
 
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from helpers import run_cli
 
 from gfbs.cli import main
 from gfbs.netgraph import load_checkpoint
@@ -199,6 +198,24 @@ class TestReportCommand:
         assert "## Plan" in text
         assert "| layer slot | kept channels |" in text
 
+    @pytest.mark.parametrize("name,text", [
+        ("metrics.csv", "epoch,split,loss,metric\n0,test\n"),  # too few fields
+        ("metrics.csv", "epoch,split,loss,metric\n0,test,\xff,1\n"),  # not UTF-8
+        ("plan.json", '{"spec_name": '),  # invalid JSON
+        ("plan.json", "[1, 2]"),  # top level not an object
+        ("plan.json", '{"spec_name": "x", "criterion": "gfbs", "lambda": 0.05}'),
+        ("plan.json", '{"spec_name": "x", "criterion": "gfbs", "lambda": 0.05, "tau": 0.5, '
+                      '"achieved_ratio": "half", "flops_ratio": 1, "kept_per_layer": []}'),
+        ("summary.json", '{"groups": 4, "spearman": 0.5}'),  # lacks the overlap keys
+    ], ids=["short_metrics_row", "non_utf8_metrics", "invalid_plan_json", "plan_not_object",
+            "plan_missing_key", "plan_value_of_wrong_type", "summary_missing_key"])
+    def test_malformed_artifact_is_format_error(self, tmp_path, name, text):
+        run = tmp_path / "run" / "step"
+        run.mkdir(parents=True)
+        (run / name).write_bytes(text.encode("latin-1"))
+        out = run_cli("report", "--dir", tmp_path / "run", "--out", tmp_path / "report")
+        assert_one_line_error(out, 4)
+
     def test_report_without_dir_errors(self):
         with pytest.raises(SystemExit) as exc:
             main(["report"])
@@ -246,18 +263,35 @@ class TestExitCodes:
     def test_bad_config_file_is_one_line_config_error(self, workdir, tmp_path, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
-        out = subprocess.run(
-            [sys.executable, "-m", "gfbs.cli", "train", "--spec", str(workdir / "net.spec"),
-             "--data", DATA, "--config", str(cfg), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
-        assert out.returncode == 2
-        assert "Traceback" not in out.stderr
-        assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+        out = run_cli("train", "--spec", workdir / "net.spec", "--data", DATA,
+                      "--config", cfg, "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+
+    def test_non_utf8_spec_is_format_error(self, tmp_path):
+        spec = tmp_path / "latin1.spec"
+        spec.write_bytes(SPEC_TEXT.replace("clitiny", "cl\xeftiny").encode("latin-1"))
+        out = run_cli("train", "--spec", spec, "--data", DATA, "--out", tmp_path / "out")
+        assert_one_line_error(out, 4)
+
+    @pytest.mark.parametrize("command", ["prune", "oracle"])
+    def test_non_utf8_saliency_csv_is_format_error(self, workdir, saliency_dir, tmp_path,
+                                                   command):
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes((saliency_dir / "saliency.csv").read_bytes() + b"\xff\xfe\n")
+        flags = ["--data", DATA] if command == "oracle" else []
+        out = run_cli(command, "--ckpt", workdir / "train" / "baseline.ckpt",
+                      "--saliency", csv, *flags, "--out", tmp_path / "out")
+        assert_one_line_error(out, 4)
+
+
+def assert_one_line_error(out, code):
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
 
 
 def test_console_script_help():
-    out = subprocess.run([sys.executable, "-m", "gfbs.cli", "--help"],
-                         capture_output=True, text=True)
+    out = run_cli("--help")
     assert out.returncode == 0
     for name in ("train", "saliency", "oracle", "prune", "finetune", "report"):
         assert name in out.stdout

@@ -16,6 +16,7 @@ from gfbs.netgraph import (
     count_flops,
     format_spec,
     forward_full,
+    from_arrays,
     group_lookup,
     infer_shapes,
     load_checkpoint,
@@ -153,6 +154,33 @@ class TestBuild:
         twin = net.clone()
         twin.params[0].weight.data[:] = 0
         assert not np.allclose(net.params[0].weight.data, 0)
+
+    def test_from_arrays_holds_the_arrays_given(self):
+        spec = parse_spec(TINY)
+        arrays = {n: t.data for n, t in build_network(spec, seed=1, dtype=np.float64)
+                  .named_tensors().items()}
+        net = from_arrays(spec, arrays)
+        assert [type(p).__name__ for p in net.params] == \
+            ["ParamSet", "NoneType", "NoneType", "LinearParams"]
+        for name, t in net.named_tensors().items():
+            assert t.data is arrays[name]
+
+    @pytest.mark.parametrize("edit,match", [
+        ("missing", r"missing \['b0.running_var'\]"),
+        ("extra", r"extra \['b1.weight'\]"),
+        ("misshapen", r"shape mismatch for b3.weight"),
+    ])
+    def test_from_arrays_rejects_a_bad_tensor_set(self, edit, match):
+        spec = parse_spec(TINY)
+        arrays = {n: t.data for n, t in build_network(spec, seed=1).named_tensors().items()}
+        if edit == "missing":
+            del arrays["b0.running_var"]
+        elif edit == "extra":
+            arrays["b1.weight"] = np.zeros(3, np.float32)
+        else:
+            arrays["b3.weight"] = np.zeros((63, 3), np.float32)
+        with pytest.raises(ConfigError, match=match):
+            from_arrays(spec, arrays)
 
 
 class TestForward:
@@ -414,6 +442,14 @@ class TestCheckpoint:
         p = tmp_path / "mixed.ckpt"
         _write_ckpt(p, spec_text, records)
         with pytest.raises(FormatError, match="mixes dtypes"):
+            load_checkpoint(p)
+
+    def test_negative_running_var_rejected(self, tmp_path):
+        net = build_network(parse_spec(TINY), seed=0)
+        net.params[0].running_var.data[1] = -1.0
+        p = tmp_path / "neg.ckpt"
+        save_checkpoint(net, p)
+        with pytest.raises(FormatError, match="running_var must be non-negative"):
             load_checkpoint(p)
 
     def test_float64_round_trip(self, tmp_path):

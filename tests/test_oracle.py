@@ -1,4 +1,4 @@
-"""Tests for oracle loss probes, the feature-map criterion, and rank stats."""
+"""Tests for oracle loss probes and rank stats."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from gfbs.netgraph import ChannelRef, build_coupling_groups, build_network, pars
 from gfbs.oracle import (
     OracleRecord,
     bottom_fraction_overlap,
-    feature_taylor_saliency,
     oracle_delta_loss,
     read_oracle_csv,
     spearman,
@@ -108,40 +107,6 @@ class TestOracle:
         assert sizes == [1, 1, 1, 1, 2, 2, 2, 2]
 
 
-class TestFeatureTaylor:
-    def test_zero_gradient_gives_zero_scores(self):
-        net = make_net()
-        net.params[4].weight.data[:] = 0.0
-        net.params[4].bias.data[:] = 0.0
-        x, y = probe_batch(net)
-        scores = feature_taylor_saliency(net, x, y, "cross_entropy")
-        assert all(v == 0.0 for v in scores.values())
-
-    def test_covers_every_norm_channel(self):
-        net = make_net()
-        x, y = probe_batch(net)
-        scores = feature_taylor_saliency(net, x, y, "cross_entropy")
-        assert set(scores) == {ChannelRef(0, j) for j in range(4)} \
-            | {ChannelRef(2, j) for j in range(6)}
-
-    def test_matches_manual_reduction(self):
-        net = make_net()
-        x, y = probe_batch(net)
-        scores = feature_taylor_saliency(net, x, y, "cross_entropy")
-        # recompute channel (0, 0) by re-running with an explicit trace
-        from gfbs.autograd import Tape, Tensor, backward, loss as loss_op
-        from gfbs.netgraph import forward_full
-        trace = {}
-        tape = Tape()
-        out = forward_full(net, Tensor(x, dtype=np.float64), "train",
-                           tape=tape, trace=trace, update_stats=False)
-        backward(tape, loss_op(out, y, "cross_entropy", tape=tape))
-        pre = trace[0]["pre_bn"]
-        manual = abs(float((pre.grad[:, 0] * pre.data[:, 0]).sum()))
-        net.zero_grad()
-        assert scores[ChannelRef(0, 0)] == pytest.approx(manual, rel=1e-12)
-
-
 class TestSpearman:
     def test_identical_is_one(self):
         assert spearman([3.0, 1.0, 2.0], [3.0, 1.0, 2.0]) == pytest.approx(1.0)
@@ -232,4 +197,10 @@ class TestOracleCsv:
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n")
         with pytest.raises(FormatError):
+            read_oracle_csv(p)
+
+    def test_non_utf8_bytes_are_a_format_error(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"layer,channel,group,delta_loss,rank\n0,1,0,0.25\xb5,0\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
             read_oracle_csv(p)
