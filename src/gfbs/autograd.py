@@ -162,9 +162,6 @@ class Tape:
             raise ConfigError("cannot record on a consumed tape")
         self.nodes.append(TapeNode(op, inputs, output, backward_fn))
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def _accum(t: Tensor, delta: np.ndarray) -> None:
     if t.grad is None:

@@ -419,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "prune, finetune, and report on desk-scale networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seeds="nothing; only recorded in manifest.json"):
         sp.add_argument("--out", help="output directory (default runs/<timestamp>)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=0, help=f"seeds {seeds}")
 
     sp = sub.add_parser("train", help="train a baseline network")
     sp.add_argument("--spec", required=True, help="network spec file")
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--preset", default="auto",
                     choices=["auto", "classify", "denoise"])
     _add_train_flags(sp)
-    common(sp)
+    common(sp, seeds="the initial weights")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("saliency", help="score channels on a probe batch")
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--saliency", help="saliency CSV to correlate against")
     sp.add_argument("--batch-size", dest="batch_size", type=int, default=64)
-    common(sp)
+    common(sp, seeds="the channels the zero-equivalence spot check picks")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("prune", help="plan and apply surgery")

@@ -44,7 +44,6 @@ class DatasetHandle:
     x_test: np.ndarray
     y_test: np.ndarray
     seed: int
-    n_classes: int = 0
     sigma: float = 0.0
 
     def __post_init__(self):
@@ -164,7 +163,7 @@ def gen_shapes_dataset(n_train: int, n_test: int, image_size: int = 16,
     x_tr, y_tr = _gen_split(n_train, image_size, seed, _TRAIN)
     x_te, y_te = _gen_split(n_test, image_size, seed, _TEST)
     return DatasetHandle("synthetic_shapes", x_tr, y_tr, x_te, y_te,
-                         seed=seed, n_classes=N_CLASSES)
+                         seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,7 @@ def load_idx(images_path, labels_path, test_fraction: float = 0.1,
         raise ConfigError("IDX split left no training samples")
     return DatasetHandle("idx_pair", images[train_idx], labels[train_idx],
                          images[test_idx], labels[test_idx],
-                         seed=seed, n_classes=int(labels.max()) + 1)
+                         seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -315,14 +315,18 @@ def _layout(node: Node) -> tuple[type | None, dict[str, tuple]]:
     return cls, {f.name: weight if f.name == "weight" else (b.channels,) for f in fields(cls)}
 
 
+def _tensor_shapes(spec: NetworkSpec) -> dict[str, tuple]:
+    """``b{i}.{field}`` -> shape of every tensor ``spec`` holds."""
+    return {f"b{node.index}.{name}": shape for node in spec.nodes
+            for name, shape in _layout(node)[1].items()}
+
+
 def from_arrays(spec: NetworkSpec, arrays: dict[str, np.ndarray]) -> Network:
     """The network of ``spec`` holding ``arrays``, keyed ``b{i}.{field}`` as
     ``Network.named_tensors`` names them. The arrays are used, not copied,
     and keep their dtype. A missing, extra or misshapen array, or one the
     parameter class rejects, is a ConfigError."""
-    layouts = [_layout(node) for node in spec.nodes]
-    expected = {f"b{i}.{name}": shape for i, (_, shapes) in enumerate(layouts)
-                for name, shape in shapes.items()}
+    expected = _tensor_shapes(spec)
     if set(arrays) != set(expected):
         missing = sorted(set(expected) - set(arrays))
         extra = sorted(set(arrays) - set(expected))
@@ -331,7 +335,7 @@ def from_arrays(spec: NetworkSpec, arrays: dict[str, np.ndarray]) -> Network:
         if arrays[name].shape != shape:
             raise ConfigError(f"shape mismatch for {name}: {arrays[name].shape} vs spec {shape}")
     params = []
-    for i, (cls, shapes) in enumerate(layouts):
+    for i, (cls, shapes) in enumerate(map(_layout, spec.nodes)):
         named = {n: arrays[f"b{i}.{n}"] for n in shapes}
         try:
             params.append(cls(**{n: Tensor(a, dtype=a.dtype) for n, a in named.items()})
@@ -411,7 +415,6 @@ class FlopsEntry:
 class FlopsReport:
     entries: tuple[FlopsEntry, ...]
     total: int
-    conv_total: int
 
     def ratio_vs(self, baseline: "FlopsReport") -> float:
         if baseline.total == 0:
@@ -426,15 +429,12 @@ def count_flops(spec: NetworkSpec) -> FlopsReport:
     per element, pool = k^2 per output element, residual add = 1 per
     element, flatten free."""
     entries: list[FlopsEntry] = []
-    conv_total = 0
     for node in spec.nodes:
         i, b, out = node.index, node.block, node.out_shape
         if b.kind in CONV_KINDS:
             c_in = node.in_shape[0]
             c, ho, wo = out
-            conv = 2 * ho * wo * c * b.kernel * b.kernel * c_in + ho * wo * c
-            conv_total += conv
-            f = conv
+            f = 2 * ho * wo * c * b.kernel * b.kernel * c_in + ho * wo * c
             elems = c * ho * wo
             if b.kind in BN_KINDS:
                 f += 2 * elems
@@ -456,7 +456,7 @@ def count_flops(spec: NetworkSpec) -> FlopsReport:
         else:
             entries.append(FlopsEntry(i, b.kind, 0, ""))
     total = sum(e.flops for e in entries)
-    return FlopsReport(tuple(entries), total, conv_total)
+    return FlopsReport(tuple(entries), total)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +563,7 @@ def load_checkpoint(path) -> Network:
         except UnicodeDecodeError as exc:
             raise FormatError("checkpoint spec text is not valid UTF-8") from exc
         spec = parse_spec(spec_text)
+        expected = _tensor_shapes(spec)
         file_size = os.fstat(fh.fileno()).st_size
         loaded: dict[str, np.ndarray] = {}
         while True:
@@ -576,6 +577,8 @@ def load_checkpoint(path) -> Network:
                 name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError("checkpoint tensor name is not valid UTF-8") from exc
+            if name not in expected:
+                raise FormatError(f"checkpoint holds tensor {name!r}, which its spec lacks")
             if name in loaded:
                 raise FormatError(f"checkpoint holds tensor {name} twice")
             tag, ndim = struct.unpack("<BB", _read_exact(fh, 2, "dtype/ndim"))
@@ -585,6 +588,9 @@ def load_checkpoint(path) -> Network:
             if loaded and dtype != next(iter(loaded.values())).dtype:
                 raise FormatError(f"checkpoint mixes dtypes: {name} is {dtype.name}")
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims"))
+            if dims != expected[name]:
+                raise FormatError(f"checkpoint declares {name} as {dims}, "
+                                  f"but its spec gives {expected[name]}")
             nbytes = math.prod(dims) * dtype.itemsize  # exact: Python ints do not overflow
             if nbytes > file_size - fh.tell():
                 raise FormatError(f"checkpoint declares {nbytes} bytes for {name}, "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, loss as loss_op
-from .errors import ConfigError, FormatError, open_text
+from .errors import ConfigError
 from .netgraph import (
     ChannelRef,
     CouplingGroup,
@@ -31,14 +31,6 @@ class OracleRecord:
     members: tuple[ChannelRef, ...]
     delta_loss: float
     rank: int = -1
-
-    @property
-    def layer(self) -> int:
-        return self.members[0].layer
-
-    @property
-    def channel(self) -> int:
-        return self.members[0].channel
 
 
 def _batch_loss(net: Network, batch_x: np.ndarray, batch_y, loss_kind: str) -> float:
@@ -188,26 +180,3 @@ def write_oracle_csv(records: list[OracleRecord], path) -> None:
         for layer, channel, group, delta, rank in rows:
             writer.writerow([layer, channel, group, f"{delta:.9g}", rank])
 
-
-def read_oracle_csv(path) -> list[OracleRecord]:
-    by_group: dict[int, dict] = {}
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ORACLE_HEADER:
-            raise FormatError(f"{path}: unexpected oracle CSV header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(ORACLE_HEADER):
-                raise FormatError(f"{path}:{lineno}: expected {len(ORACLE_HEADER)} fields")
-            try:
-                layer, channel, group = int(row[0]), int(row[1]), int(row[2])
-                delta, rank = float(row[3]), int(row[4])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
-            slot = by_group.setdefault(group, {"members": [], "delta": delta, "rank": rank})
-            slot["members"].append(ChannelRef(layer, channel))
-    if not by_group:
-        raise FormatError(f"{path}: no oracle rows")
-    return [OracleRecord(group=gid, members=tuple(sorted(slot["members"])),
-                         delta_loss=slot["delta"], rank=slot["rank"])
-            for gid, slot in sorted(by_group.items())]

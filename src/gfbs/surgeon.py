@@ -19,7 +19,9 @@ piece finetuning later absorbs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .errors import ConfigError
 from .netgraph import (
     BN_KINDS,
     CONV_KINDS,
-    BlockSpec,
     ChannelRef,
     Network,
     NetworkSpec,
@@ -40,18 +41,42 @@ from .saliency import PruneConfig, SaliencyRecord
 
 @dataclass(frozen=True)
 class PrunePlan:
+    """The channels of each conv block that survive, and the settings
+    that chose them. The pruned spec, the removed channels and both
+    ratios are derived from ``kept_per_layer`` on first use."""
+
     base_spec: NetworkSpec
-    spec: NetworkSpec  # pruned
-    removed: tuple[ChannelRef, ...]
-    removed_groups: tuple[int, ...]
     kept_per_layer: dict[int, tuple[int, ...]]  # every conv-kind block
-    achieved_ratio: float
-    flops_ratio: float
     shortfall: bool
     tau: float
     min_keep: int
     criterion: str
     lam: float
+
+    @cached_property
+    def spec(self) -> NetworkSpec:
+        """The base spec with each conv block narrowed to its kept channels."""
+        base = self.base_spec
+        blocks = tuple(replace(b, channels=len(self.kept_per_layer[i]))
+                       if b.kind in CONV_KINDS else b for i, b in enumerate(base.blocks))
+        return replace(base, name=base.name + "-pruned", blocks=blocks)
+
+    @cached_property
+    def removed(self) -> tuple[ChannelRef, ...]:
+        """Every conv channel not kept, in (layer, channel) order."""
+        return tuple(ChannelRef(layer, c)
+                     for layer, n in _conv_layers(self.base_spec).items()
+                     for c in sorted(set(range(n)) - set(self.kept_per_layer[layer])))
+
+    @cached_property
+    def achieved_ratio(self) -> float:
+        """Removed channels as a fraction of all prunable channels."""
+        total = sum(len(g.members) for g in self.base_spec.groups)
+        return len(self.removed) / total if total else 0.0
+
+    @cached_property
+    def flops_ratio(self) -> float:
+        return count_flops(self.spec).ratio_vs(count_flops(self.base_spec))
 
 
 def _conv_layers(spec: NetworkSpec) -> dict[int, int]:
@@ -78,49 +103,26 @@ def plan_prune(net: Network, records: list[SaliencyRecord],
 
     layer_channels = _conv_layers(net.spec)
     kept_count = dict(layer_channels)
-    removed: list[ChannelRef] = []
-    removed_groups: list[int] = []
+    removed: set[ChannelRef] = set()
     stopped_at_budget = False
     for g in scored:
-        per_layer: dict[int, int] = {}
-        for m in g.members:
-            per_layer[m.layer] = per_layer.get(m.layer, 0) + 1
+        per_layer = Counter(m.layer for m in g.members)
         if any(kept_count[layer] - n < cfg.min_keep for layer, n in per_layer.items()):
             continue  # this group is pinned; smaller ones may still fit
         if (len(removed) + len(g.members)) / total > cfg.tau:
             stopped_at_budget = True
             break
-        removed.extend(g.members)
-        removed_groups.append(g.group_id)
+        removed.update(g.members)
         for layer, n in per_layer.items():
             kept_count[layer] -= n
 
-    removed_set = set(removed)
     kept_per_layer = {
-        layer: tuple(c for c in range(n) if ChannelRef(layer, c) not in removed_set)
+        layer: tuple(c for c in range(n) if ChannelRef(layer, c) not in removed)
         for layer, n in layer_channels.items()}
-    achieved = len(removed) / total
-    pruned_spec = _pruned_spec(net.spec, kept_per_layer)
-    flops_ratio = count_flops(pruned_spec).ratio_vs(count_flops(net.spec))
     return PrunePlan(
-        base_spec=net.spec, spec=pruned_spec,
-        removed=tuple(sorted(removed)), removed_groups=tuple(sorted(removed_groups)),
-        kept_per_layer=kept_per_layer,
-        achieved_ratio=achieved, flops_ratio=flops_ratio,
-        shortfall=not stopped_at_budget and achieved < cfg.tau,
+        base_spec=net.spec, kept_per_layer=kept_per_layer,
+        shortfall=not stopped_at_budget and len(removed) / total < cfg.tau,
         tau=cfg.tau, min_keep=cfg.min_keep, criterion=cfg.criterion, lam=cfg.lam)
-
-
-def _pruned_spec(base: NetworkSpec, kept_per_layer: dict[int, tuple[int, ...]]) -> NetworkSpec:
-    blocks = []
-    for i, b in enumerate(base.blocks):
-        if b.kind in CONV_KINDS:
-            blocks.append(BlockSpec(b.kind, len(kept_per_layer[i]),
-                                    b.kernel, b.stride, b.padding))
-        else:
-            blocks.append(b)
-    return NetworkSpec(base.name + "-pruned", base.in_channels,
-                       base.in_height, base.in_width, tuple(blocks))
 
 
 def apply_prune(net: Network, plan: PrunePlan) -> Network:
@@ -172,46 +174,31 @@ class ValidationReport:
 
 def validate_plan(net: Network, plan: PrunePlan) -> ValidationReport:
     """Check every plan invariant; failures are reported, not raised."""
-    v: list[str] = []
     if plan.base_spec != net.spec:
-        v.append("plan base spec does not match the network")
-        return ValidationReport(False, tuple(v))
-
+        return ValidationReport(False, ("plan base spec does not match the network",))
     layer_channels = _conv_layers(net.spec)
-    removed_by_layer: dict[int, set[int]] = {}
-    for ref in plan.removed:
-        removed_by_layer.setdefault(ref.layer, set()).add(ref.channel)
-
-    bn_layers = {i for i, b in enumerate(net.spec.blocks) if b.kind in BN_KINDS}
+    if set(plan.kept_per_layer) != set(layer_channels):
+        return ValidationReport(False, (
+            f"kept lists for blocks {sorted(plan.kept_per_layer)}, "
+            f"but the conv blocks are {sorted(layer_channels)}",))
+    v: list[str] = []
     for layer, n in layer_channels.items():
-        kept = set(plan.kept_per_layer.get(layer, ()))
-        removed = removed_by_layer.get(layer, set())
-        if kept & removed:
-            v.append(f"layer {layer}: channels both kept and removed")
-        if kept | removed != set(range(n)):
-            v.append(f"layer {layer}: kept+removed do not partition {n} channels")
-        if layer in bn_layers and len(kept) < plan.min_keep:
+        kept = plan.kept_per_layer[layer]
+        if list(kept) != sorted(set(kept) & set(range(n))):
+            v.append(f"layer {layer}: kept {list(kept)} is not an ordered "
+                     f"subset of its {n} channels")
+        if net.spec.blocks[layer].kind in BN_KINDS and len(kept) < plan.min_keep:
             v.append(f"layer {layer}: collapsed to {len(kept)} < min_keep {plan.min_keep}")
-
     removed_set = set(plan.removed)
     for g in net.spec.groups:
         hit = sum(1 for m in g.members if m in removed_set)
         if 0 < hit < len(g.members):
             v.append(f"group {g.group_id} split: {hit}/{len(g.members)} members removed")
-
-    for i, b in enumerate(plan.spec.blocks):
-        if b.kind in CONV_KINDS and b.channels != len(plan.kept_per_layer[i]):
-            v.append(f"pruned spec block {i} width {b.channels} "
-                     f"!= kept count {len(plan.kept_per_layer[i])}")
-
-    total = sum(len(g.members) for g in net.spec.groups)
-    if total and plan.achieved_ratio != len(plan.removed) / total:
-        v.append("achieved_ratio does not equal removed/total")
+    loose = removed_set - {m for g in net.spec.groups for m in g.members}
+    if loose:
+        v.append(f"removes channels outside every prunable group: {sorted(loose)}")
     if plan.achieved_ratio > plan.tau + 1e-12:
         v.append(f"achieved_ratio {plan.achieved_ratio} exceeds tau {plan.tau}")
-    want_flops = count_flops(plan.spec).ratio_vs(count_flops(net.spec))
-    if abs(plan.flops_ratio - want_flops) > 1e-12:
-        v.append("flops_ratio does not match a recount")
     return ValidationReport(not v, tuple(v))
 
 
@@ -239,25 +226,3 @@ def write_plan(plan: PrunePlan, path) -> None:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
-
-def read_plan(path, base_spec: NetworkSpec) -> PrunePlan:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("spec_name") != base_spec.name:
-        raise ConfigError(
-            f"plan is for spec {doc.get('spec_name')!r}, not {base_spec.name!r}")
-    layers = sorted(_conv_layers(base_spec))
-    kept_lists = doc["kept_per_layer"]
-    if len(kept_lists) != len(layers):
-        raise ConfigError("plan kept_per_layer does not match the spec's conv layers")
-    kept_per_layer = {layer: tuple(kept) for layer, kept in zip(layers, kept_lists)}
-    removed = tuple(sorted(ChannelRef(r["layer"], r["channel"])
-                           for r in doc["removed"]))
-    groups = sorted({r["group"] for r in doc["removed"] if r["group"] >= 0})
-    pruned_spec = _pruned_spec(base_spec, kept_per_layer)
-    return PrunePlan(
-        base_spec=base_spec, spec=pruned_spec, removed=removed,
-        removed_groups=tuple(groups), kept_per_layer=kept_per_layer,
-        achieved_ratio=doc["achieved_ratio"], flops_ratio=doc["flops_ratio"],
-        shortfall=doc.get("shortfall", False), tau=doc["tau"],
-        min_keep=doc["min_keep"], criterion=doc["criterion"], lam=doc["lambda"])

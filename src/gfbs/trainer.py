@@ -3,8 +3,9 @@
 Classification runs momentum SGD with a multi-step learning-rate decay;
 denoising finetunes follow the standard Adam recipe (50 epochs, 1e-4,
 divided by 10 at epoch 40). Desk-scale defaults live in the preset
-constructors at the bottom; everything is deterministic given the config
-seed and the dataset seed.
+constructors at the bottom. A run is deterministic given the network's
+initial weights and the dataset seed, which alone orders the batches;
+nothing reads ``TrainConfig.seed``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
-"""Shared test utilities: the finite-difference gradient check and a
-runner for the command-line tool in a child process."""
+"""Shared test utilities: the finite-difference gradient check, a
+byte-level checkpoint writer and a runner for the command-line tool in a
+child process."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,19 @@ def run_cli(*args) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "gfbs.cli", *map(str, args)],
                           capture_output=True, text=True, env=env)
+
+
+def write_ckpt(path, spec_text, records):
+    """Write a checkpoint byte by byte, as ``save_checkpoint`` lays it out.
+
+    ``records`` holds (name, dtype tag, dims, raw bytes) tuples."""
+    spec_bytes = spec_text.encode("utf-8")
+    buf = b"GFBS" + struct.pack("<I", 1) + struct.pack("<I", len(spec_bytes)) + spec_bytes
+    for name, tag, dims, raw in records:
+        nb = name.encode("utf-8")
+        buf += struct.pack("<I", len(nb)) + nb + struct.pack("<BB", tag, len(dims))
+        buf += b"".join(struct.pack("<I", d) for d in dims) + raw
+    path.write_bytes(buf)
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

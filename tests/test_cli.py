@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import run_cli
+from helpers import run_cli, write_ckpt
 
 from gfbs.cli import main
 from gfbs.netgraph import load_checkpoint
@@ -238,6 +238,13 @@ class TestExitCodes:
         bad.write_bytes(b"not a checkpoint at all")
         rc = main(["eval", "--ckpt", str(bad), "--data", DATA])
         assert rc == 4
+
+    def test_checkpoint_dims_outside_the_spec_are_a_format_error(self, tmp_path):
+        # (0, 2**31, 2**31) declares 0 bytes: only the spec's layout rejects it
+        ckpt = tmp_path / "zero.ckpt"
+        write_ckpt(ckpt, SPEC_TEXT, [("b0.weight", 0, (0, 2**31, 2**31), b"")])
+        out = run_cli("eval", "--ckpt", ckpt, "--data", DATA)
+        assert_one_line_error(out, 4)
 
     def test_bad_tau_is_config_error(self, workdir, saliency_dir, capsys):
         rc = main(["prune", "--ckpt", str(workdir / "train" / "baseline.ckpt"),

