@@ -298,62 +298,41 @@ def batchnorm(x: Tensor, params: ParamSet, mode: str, tape: Tape | None = None,
         raise ConfigError(f"input has {c} channels, params expect {params.out_channels}")
     _check_same_dtype("batchnorm", x.data, params.gamma.data)
     gamma, beta = params.gamma, params.beta
-    g4 = gamma.data[None, :, None, None]
-    b4 = beta.data[None, :, None, None]
     m = n * h * w
-
     if mode == "train":
         if m < 2:
             raise ConfigError("train-mode batchnorm needs at least 2 values per channel")
         mu = (x.data.sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
-        xc = x.data - mu[None, :, None, None]
-        var = ((xc * xc).sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
-        inv = 1.0 / np.sqrt(var + params.eps)
-        xhat = xc * inv[None, :, None, None]
-        out = Tensor(g4 * xhat + b4)
+        xhat = x.data - mu[None, :, None, None]  # centred here, scaled below
+        var = ((xhat * xhat).sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
         if update_stats:
             mom = params.momentum
             params.running_mean.data *= 1.0 - mom
             params.running_mean.data += mom * mu.astype(params.running_mean.dtype)
             params.running_var.data *= 1.0 - mom
             params.running_var.data += mom * var.astype(params.running_var.dtype)
-        _check_finite(out.data, "batchnorm")
-
-        if tape is not None:
-
-            def bwd(gout: np.ndarray) -> None:
-                inv4 = inv[None, :, None, None]
-                _accum(beta, gout.sum(axis=(0, 2, 3)))
-                _accum(gamma, (gout * xhat).sum(axis=(0, 2, 3)))
-                dxhat = gout * g4
-                # d(var): -1/2 * sum(dxhat * (x-mu)) * (var+eps)^{-3/2}
-                dvar = (dxhat * xc).sum(axis=(0, 2, 3)) * (-0.5) * inv ** 3
-                # d(mu): straight term plus the centering term through var
-                dmu = (dxhat * (-inv4)).sum(axis=(0, 2, 3))
-                dmu += dvar * (-2.0 * xc).sum(axis=(0, 2, 3)) / m
-                dx = dxhat * inv4
-                dx += (2.0 / m) * dvar[None, :, None, None] * xc
-                dx += dmu[None, :, None, None] / m
-                _accum(x, dx)
-
-            tape.record("batchnorm", [x, gamma, beta], out, bwd)
-        return out
-
-    # eval mode: normalize with running statistics
-    inv_r = 1.0 / np.sqrt(params.running_var.data.astype(x.dtype) + params.eps)
-    xhat_r = (x.data - params.running_mean.data.astype(x.dtype)[None, :, None, None]) \
-        * inv_r[None, :, None, None]
-    out = Tensor(g4 * xhat_r + b4)
+    else:
+        mu = params.running_mean.data.astype(x.dtype)
+        var = params.running_var.data.astype(x.dtype)
+        xhat = x.data - mu[None, :, None, None]
+    g4 = gamma.data[None, :, None, None]
+    inv4 = (1.0 / np.sqrt(var + params.eps))[None, :, None, None]
+    xhat *= inv4
+    out = Tensor(g4 * xhat + beta.data[None, :, None, None])
     _check_finite(out.data, "batchnorm")
 
     if tape is not None:
 
-        def bwd_eval(gout: np.ndarray) -> None:
-            _accum(beta, gout.sum(axis=(0, 2, 3)))
-            _accum(gamma, (gout * xhat_r).sum(axis=(0, 2, 3)))
-            _accum(x, gout * g4 * inv_r[None, :, None, None])
+        def bwd(gout: np.ndarray) -> None:
+            dbeta = gout.sum(axis=(0, 2, 3))
+            dgamma = (gout * xhat).sum(axis=(0, 2, 3))
+            _accum(beta, dbeta)
+            _accum(gamma, dgamma)
+            if mode == "train":  # the batch statistics depend on x as well
+                gout = gout - (dbeta[None, :, None, None] + xhat * dgamma[None, :, None, None]) / m
+            _accum(x, gout * g4 * inv4)
 
-        tape.record("batchnorm", [x, gamma, beta], out, bwd_eval)
+        tape.record("batchnorm", [x, gamma, beta], out, bwd)
     return out
 
 

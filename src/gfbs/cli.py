@@ -36,8 +36,10 @@ from .oracle import (
     write_oracle_csv,
 )
 from .saliency import (
+    CRITERIA,
     PruneConfig,
     capture,
+    group_scores,
     normalize_layerwise,
     read_saliency_csv,
     saliency_records,
@@ -221,6 +223,9 @@ def cmd_oracle(args) -> int:
     out = _outdir(args)
     net = load_checkpoint(args.ckpt)
     data = open_dataset(args.data)
+    # a bad CSV fails before the probes; oracle records follow spec.groups
+    scores = group_scores(read_saliency_csv(args.saliency, net.spec), net.spec.groups) \
+        if args.saliency else None
     x, y = data.capture_batch(args.batch_size)
     records = oracle_delta_loss(net, x, y, data.loss_kind)
     write_oracle_csv(records, out / "oracle.csv")
@@ -233,18 +238,10 @@ def cmd_oracle(args) -> int:
         summary["zero_equivalence_max_diff"] = spot_check_zero_equivalence(
             net, x, y, data.loss_kind, picks)
 
-    if args.saliency:
-        sal = read_saliency_csv(args.saliency, net.spec)
-        by_ref = {(r.layer, r.channel): r.score for r in sal}
-        group_scores, deltas = [], []
-        for r in records:
-            members = [(m.layer, m.channel) for m in r.members]
-            if any(m not in by_ref for m in members):
-                raise ConfigError("saliency CSV does not cover the oracle's channels")
-            group_scores.append(float(np.mean([by_ref[m] for m in members])))
-            deltas.append(r.delta_loss)
-        rho = spearman(group_scores, deltas)
-        overlap, k, expect = bottom_fraction_overlap(group_scores, deltas, 0.2)
+    if scores is not None:
+        deltas = [r.delta_loss for r in records]
+        rho = spearman(scores, deltas)
+        overlap, k, expect = bottom_fraction_overlap(scores, deltas, 0.2)
         summary.update({"spearman": rho, "bottom20_overlap": overlap,
                         "bottom20_size": k, "bottom20_random_expectation": expect})
         print(f"oracle vs saliency: spearman {rho:.3f}, "
@@ -282,8 +279,8 @@ def cmd_prune(args) -> int:
         fh.write(f"baseline total {base_flops.total}\n")
         fh.write(f"pruned   total {new_flops.total}\n")
         fh.write(f"ratio {plan.flops_ratio:.6f}\n")
-        for e in new_flops.entries:
-            fh.write(f"  block {e.block:2d} {e.kind:14s} {e.flops:12d}  {e.detail}\n")
+        for n in new_flops.entries:
+            fh.write(f"  block {n.index:2d} {n.block.kind:14s} {n.flops:12d}  {n.detail}\n")
     note = " (shortfall: budget unreachable)" if plan.shortfall else ""
     print(f"pruned {len(plan.removed)} channels, achieved {plan.achieved_ratio:.3f} "
           f"of tau {plan.tau}, flops ratio {plan.flops_ratio:.3f}{note}")
@@ -436,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    sp.add_argument("--criterion", default="gfbs",
-                    choices=["gfbs", "gamma_only", "beta_only", "l1_filter"])
+    sp.add_argument("--criterion", default="gfbs", choices=CRITERIA)
     sp.add_argument("--batch-size", dest="batch_size", type=int, default=64)
     common(sp)
     sp.set_defaults(func=cmd_saliency)
@@ -456,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, default=0.5)
     sp.add_argument("--min-keep", dest="min_keep", type=int, default=4)
     sp.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    sp.add_argument("--criterion", default="gfbs",
-                    choices=["gfbs", "gamma_only", "beta_only", "l1_filter"])
+    sp.add_argument("--criterion", default="gfbs", choices=CRITERIA)
     common(sp)
     sp.set_defaults(func=cmd_prune)
 

@@ -25,7 +25,7 @@ import io
 import math
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -47,7 +47,9 @@ from .errors import ConfigError, FormatError
 
 CONV_KINDS = ("conv_bn_relu", "conv_bn", "conv")
 BN_KINDS = ("conv_bn_relu", "conv_bn")
-ALL_KINDS = CONV_KINDS + ("residual_begin", "residual_add", "pool", "flatten", "linear")
+# kind -> how many of (channels, kernel, stride, padding) its spec line gives
+ARITY = {**dict.fromkeys(CONV_KINDS, 4), "residual_begin": 0, "residual_add": 0,
+         "pool": 4, "flatten": 0, "linear": 1}
 
 CKPT_MAGIC = b"GFBS"
 CKPT_VERSION = 1
@@ -62,7 +64,7 @@ class BlockSpec:
     padding: int = 0
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if self.kind not in ARITY:
             raise ConfigError(f"unknown block kind {self.kind!r}")
 
 
@@ -70,7 +72,9 @@ class BlockSpec:
 class Node:
     """One compiled block. ``src`` is the conv block whose channels the
     block reads (-1 for the network input); ``skip_src``, set only on a
-    residual_add, is the producer of the stream saved at its begin."""
+    residual_add, is the producer of the stream saved at its begin.
+    ``flops`` is the block's per-sample cost (see ``_compile``) and
+    ``detail`` its shape summary in flops.txt."""
 
     index: int
     block: BlockSpec
@@ -78,6 +82,8 @@ class Node:
     out_shape: tuple
     src: int
     skip_src: int | None = None
+    flops: int = 0
+    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -120,14 +126,20 @@ class CouplingGroup:
 
 def _compile(spec: NetworkSpec) -> tuple[Node, ...]:
     """One walk over the blocks: validates chaining, residual pairing and
-    block ordering, and records each block's shapes and producers.
-    Conv/pool shapes are (C, H, W), post-flatten shapes are (D,)."""
+    block ordering, and records each block's shapes, producers and FLOPs.
+    Conv/pool shapes are (C, H, W), post-flatten shapes are (D,).
+
+    FLOPs are per sample under a fixed convention: one multiply-add is 2
+    FLOPs and bias adds are counted. Per block: conv = 2*H'*W'*C_out*k^2*C_in
+    + H'*W'*C_out, linear = 2*D*K + K, batch norm = 2 per element, ReLU = 1
+    per element, pool = k^2 per output element, residual add = 1 per
+    element, flatten free."""
     shape: tuple = spec.input_shape
     src = -1
     stack: list[tuple[tuple, int]] = []
     nodes: list[Node] = []
     for i, b in enumerate(spec.blocks):
-        in_shape, skip_src = shape, None
+        in_shape, skip_src, flops, detail = shape, None, 0, ""
         if len(shape) == 1 and b.kind != "linear":
             raise ConfigError(f"block {i}: only linear blocks may follow flatten")
         if b.kind in CONV_KINDS:
@@ -139,6 +151,10 @@ def _compile(spec: NetworkSpec) -> tuple[Node, ...]:
             if ho < 1 or wo < 1:
                 raise ConfigError(f"block {i}: conv output collapses to {ho}x{wo}")
             shape = (b.channels, ho, wo)
+            elems = b.channels * ho * wo
+            flops = (2 * b.kernel * b.kernel * c + 1) * elems  # conv and bias
+            flops += (2 * (b.kind in BN_KINDS) + (b.kind == "conv_bn_relu")) * elems  # norm, ReLU
+            detail = f"{c}->{b.channels} k{b.kernel} @{ho}x{wo}"
         elif b.kind == "pool":
             c, h, w = shape
             if b.kernel < 1 or b.stride < 1:
@@ -150,6 +166,7 @@ def _compile(spec: NetworkSpec) -> tuple[Node, ...]:
             if ho < 1 or wo < 1:
                 raise ConfigError(f"block {i}: pool output collapses to {ho}x{wo}")
             shape = (c, ho, wo)
+            flops, detail = b.kernel * b.kernel * c * ho * wo, f"k{b.kernel} @{ho}x{wo}"
         elif b.kind == "residual_begin":
             stack.append((shape, src))
         elif b.kind == "residual_add":
@@ -159,6 +176,7 @@ def _compile(spec: NetworkSpec) -> tuple[Node, ...]:
             if saved != shape:
                 raise ConfigError(
                     f"block {i}: residual streams disagree, {saved} vs {shape}")
+            flops, detail = math.prod(shape), f"@{shape[1]}x{shape[2]}"
         elif b.kind == "flatten":
             shape = (shape[0] * shape[1] * shape[2],)
         elif b.kind == "linear":
@@ -166,8 +184,9 @@ def _compile(spec: NetworkSpec) -> tuple[Node, ...]:
                 raise ConfigError(f"block {i}: linear requires a flattened stream")
             if b.channels < 1:
                 raise ConfigError(f"block {i}: linear needs >= 1 output features")
+            flops, detail = (2 * shape[0] + 1) * b.channels, f"{shape[0]}->{b.channels}"
             shape = (b.channels,)
-        nodes.append(Node(i, b, in_shape, shape, src, skip_src))
+        nodes.append(Node(i, b, in_shape, shape, src, skip_src, flops, detail))
         if b.kind in CONV_KINDS:
             src = i
     if stack:
@@ -213,18 +232,8 @@ def parse_spec(text: str) -> NetworkSpec:
                 raise FormatError(f"line {lineno}: duplicate input line")
             c, h, w = ints(3)
             header = (c, h, w)
-        elif kind in CONV_KINDS:
-            c, k, s, p = ints(4)
-            blocks.append(BlockSpec(kind, c, k, s, p))
-        elif kind == "pool":
-            c, k, s, p = ints(4)
-            blocks.append(BlockSpec(kind, c, k, s, p))
-        elif kind in ("residual_begin", "residual_add", "flatten"):
-            ints(0)
-            blocks.append(BlockSpec(kind))
-        elif kind == "linear":
-            (c,) = ints(1)
-            blocks.append(BlockSpec(kind, c))
+        elif kind in ARITY:
+            blocks.append(BlockSpec(kind, *ints(ARITY[kind])))
         else:
             raise FormatError(f"line {lineno}: unknown block kind {kind!r}")
     if header is None:
@@ -241,12 +250,7 @@ def format_spec(spec: NetworkSpec) -> str:
     lines = [f"name {spec.name}",
              f"input {spec.in_channels} {spec.in_height} {spec.in_width}"]
     for b in spec.blocks:
-        if b.kind in CONV_KINDS or b.kind == "pool":
-            lines.append(f"{b.kind} {b.channels} {b.kernel} {b.stride} {b.padding}")
-        elif b.kind == "linear":
-            lines.append(f"linear {b.channels}")
-        else:
-            lines.append(b.kind)
+        lines.append(" ".join(map(str, astuple(b)[:1 + ARITY[b.kind]])))
     return "\n".join(lines) + "\n"
 
 
@@ -404,16 +408,8 @@ def forward_full(net: Network, batch: Tensor, mode: str, tape: Tape | None = Non
 
 
 @dataclass(frozen=True)
-class FlopsEntry:
-    block: int
-    kind: str
-    flops: int
-    detail: str
-
-
-@dataclass(frozen=True)
 class FlopsReport:
-    entries: tuple[FlopsEntry, ...]
+    entries: tuple[Node, ...]
     total: int
 
     def ratio_vs(self, baseline: "FlopsReport") -> float:
@@ -423,40 +419,8 @@ class FlopsReport:
 
 
 def count_flops(spec: NetworkSpec) -> FlopsReport:
-    """Per-sample FLOPs under a fixed convention: one multiply-add is 2
-    FLOPs and bias adds are counted. Per block: conv = 2*H'*W'*C_out*k^2*C_in
-    + H'*W'*C_out, linear = 2*D*K + K, batch norm = 2 per element, ReLU = 1
-    per element, pool = k^2 per output element, residual add = 1 per
-    element, flatten free."""
-    entries: list[FlopsEntry] = []
-    for node in spec.nodes:
-        i, b, out = node.index, node.block, node.out_shape
-        if b.kind in CONV_KINDS:
-            c_in = node.in_shape[0]
-            c, ho, wo = out
-            f = 2 * ho * wo * c * b.kernel * b.kernel * c_in + ho * wo * c
-            elems = c * ho * wo
-            if b.kind in BN_KINDS:
-                f += 2 * elems
-            if b.kind == "conv_bn_relu":
-                f += elems
-            entries.append(FlopsEntry(i, b.kind, f,
-                                      f"{c_in}->{c} k{b.kernel} @{ho}x{wo}"))
-        elif b.kind == "pool":
-            c, ho, wo = out
-            f = b.kernel * b.kernel * c * ho * wo
-            entries.append(FlopsEntry(i, b.kind, f, f"k{b.kernel} @{ho}x{wo}"))
-        elif b.kind == "residual_add":
-            c, h, w = out
-            entries.append(FlopsEntry(i, b.kind, c * h * w, f"@{h}x{w}"))
-        elif b.kind == "linear":
-            d = node.in_shape[0]
-            k = out[0]
-            entries.append(FlopsEntry(i, b.kind, 2 * d * k + k, f"{d}->{k}"))
-        else:
-            entries.append(FlopsEntry(i, b.kind, 0, ""))
-    total = sum(e.flops for e in entries)
-    return FlopsReport(tuple(entries), total)
+    """Per-sample FLOPs of every block (``Node.flops``) and their sum."""
+    return FlopsReport(spec.nodes, sum(n.flops for n in spec.nodes))
 
 
 # ---------------------------------------------------------------------------

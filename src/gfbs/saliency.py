@@ -18,6 +18,7 @@ instead and ignores the probe gradients entirely.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -180,6 +181,18 @@ def score(records: list[SaliencyRecord], cfg: PruneConfig) -> list[SaliencyRecor
     return records
 
 
+def group_scores(records: list[SaliencyRecord], groups) -> list[float]:
+    """The mean member score of each of ``groups`` (anything with
+    ``members``, such as coupling groups or oracle records), in order.
+    A member without a record is a ConfigError."""
+    by_ref = {r.ref: r.score for r in records}
+    for g in groups:
+        for ref in g.members:
+            if ref not in by_ref:
+                raise ConfigError(f"saliency records miss prunable channel {ref}")
+    return [float(np.mean([by_ref[ref] for ref in g.members])) for g in groups]
+
+
 def saliency_records(net: Network, batch_x: np.ndarray, batch_y: np.ndarray,
                      loss_kind: str, cfg: PruneConfig) -> list[SaliencyRecord]:
     """capture -> normalize -> score in one call."""
@@ -222,12 +235,14 @@ def read_saliency_csv(path, spec: NetworkSpec) -> list[SaliencyRecord]:
                 if block is None or block.kind not in BN_KINDS or not 0 <= channel < block.channels:
                     raise FormatError(f"{path}:{lineno}: spec {spec.name!r} has no "
                                       f"norm channel {channel} in block {layer}")
+                floats = {name: float(v) for name, v in zip(CSV_HEADER[2:9], row[2:9])}
+                bad = [name for name, v in floats.items() if not math.isfinite(v)]
+                if bad:
+                    raise FormatError(f"{path}:{lineno}: non-finite {', '.join(bad)}")
                 records.append(SaliencyRecord(
-                    layer=layer, channel=channel,
-                    gamma=float(row[2]), grad_gamma=float(row[3]), beta=float(row[4]),
-                    weight_l1=0.0, has_relu=block.kind == "conv_bn_relu", group=int(row[9]),
-                    gamma_n=float(row[5]), grad_gamma_n=float(row[6]),
-                    beta_n=float(row[7]), score=float(row[8]), rank=int(row[10])))
+                    layer=layer, channel=channel, weight_l1=0.0,
+                    has_relu=block.kind == "conv_bn_relu", group=int(row[9]),
+                    rank=int(row[10]), **floats))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
     if not records:

@@ -36,7 +36,7 @@ from .netgraph import (
     from_arrays,
     group_lookup,
 )
-from .saliency import PruneConfig, SaliencyRecord
+from .saliency import PruneConfig, SaliencyRecord, group_scores
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,9 @@ def plan_prune(net: Network, records: list[SaliencyRecord],
     groups = net.spec.groups
     if not groups:
         raise ConfigError("network has no prunable channels")
-    by_ref = {r.ref: r for r in records}
-    for g in groups:
-        for ref in g.members:
-            if ref not in by_ref:
-                raise ConfigError(f"saliency records missing channel {ref}")
-
+    mean_score = dict(zip(groups, group_scores(records, groups)))
     total = sum(len(g.members) for g in groups)
-    scored = sorted(
-        groups,
-        key=lambda g: (float(np.mean([by_ref[m].score for m in g.members])), g.group_id))
+    scored = sorted(groups, key=lambda g: (mean_score[g], g.group_id))
 
     layer_channels = _conv_layers(net.spec)
     kept_count = dict(layer_channels)

@@ -108,10 +108,11 @@ def _psnr_db(pred: np.ndarray, target: np.ndarray) -> float:
     return min(PSNR_CAP_DB, 10.0 * math.log10(1.0 / mse))
 
 
-def _batch_metric(task: str, out: np.ndarray, yb: np.ndarray) -> float:
+def _per_sample_metric(task: str, out: np.ndarray, yb: np.ndarray) -> list[float]:
+    """Per sample: 1.0 or 0.0 for a right or wrong top-1 class, PSNR for an image."""
     if task == "classify":
-        return float((out.argmax(axis=1) == yb).mean())
-    return float(np.mean([_psnr_db(out[i], yb[i]) for i in range(len(out))]))
+        return (out.argmax(axis=1) == yb).astype(float).tolist()
+    return [_psnr_db(o, t) for o, t in zip(out, yb)]
 
 
 def _make_optimizer(cfg: TrainConfig, net: Network):
@@ -161,7 +162,7 @@ def train(net: Network, data: DatasetHandle, cfg: TrainConfig,
             backward(tape, scalar)
             opt.step()
             losses.append(value)
-            metrics.append(_batch_metric(task, out.data, yb))
+            metrics.append(float(np.mean(_per_sample_metric(task, out.data, yb))))
         history.append(Metrics(epoch, "train", float(np.mean(losses)),
                                float(np.mean(metrics)), time.monotonic() - t0))
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
@@ -182,19 +183,14 @@ def finetune(net: Network, data: DatasetHandle, cfg: TrainConfig,
 
 def evaluate(net: Network, data: DatasetHandle, batch_size: int = 256) -> Metrics:
     """Eval-mode metrics over the test split (norm uses running stats)."""
-    task = data.task
-    kind = data.loss_kind
     losses: list[float] = []
     weights: list[int] = []
     per_sample: list[float] = []
     for xb, yb in data.test_batches(batch_size):
         out = forward_full(net, Tensor(xb, dtype=net.dtype), "eval")
-        losses.append(loss_op(out, yb, kind).item())
+        losses.append(loss_op(out, yb, data.loss_kind).item())
         weights.append(len(xb))
-        if task == "classify":
-            per_sample.extend((out.data.argmax(axis=1) == yb).astype(float).tolist())
-        else:
-            per_sample.extend(_psnr_db(out.data[i], yb[i]) for i in range(len(xb)))
+        per_sample.extend(_per_sample_metric(data.task, out.data, yb))
     mean_loss = float(np.average(losses, weights=weights))
     return Metrics(-1, "test", mean_loss, float(np.mean(per_sample)))
 

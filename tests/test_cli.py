@@ -291,6 +291,29 @@ class TestExitCodes:
         assert_one_line_error(out, 4)
 
 
+    def test_non_finite_saliency_is_format_error(self, workdir, saliency_dir, tmp_path):
+        lines = (saliency_dir / "saliency.csv").read_text().splitlines()
+        for i in (1, 2, 3):  # grad_gamma and grad_gamma_n of channels (0,0), (0,1), (0,2)
+            row = lines[i].split(",")
+            row[3] = row[6] = "nan"
+            lines[i] = ",".join(row)
+        csv = tmp_path / "nan.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = run_cli("prune", "--ckpt", workdir / "train" / "baseline.ckpt",
+                      "--saliency", csv, "--tau", "0.3", "--out", tmp_path / "out")
+        assert_one_line_error(out, 4)
+        assert "nan.csv:2: non-finite grad_gamma, grad_gamma_n" in out.stderr
+        assert not (tmp_path / "out" / "plan.json").exists()
+
+    def test_saliency_missing_a_channel_is_config_error(self, workdir, saliency_dir, tmp_path):
+        csv = tmp_path / "short.csv"
+        csv.write_text("".join((saliency_dir / "saliency.csv").read_text().splitlines(True)[:-1]))
+        out = run_cli("oracle", "--ckpt", workdir / "train" / "baseline.ckpt", "--data", DATA,
+                      "--saliency", csv, "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+        assert "channel ChannelRef(layer=2, channel=7)" in out.stderr
+
+
 def assert_one_line_error(out, code):
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr

@@ -1,5 +1,5 @@
-"""Per-op timings of the conv and max-pool kernels at the layer shapes of
-the tinydncnn and tinyvgg nets, one forward plus backward per round.
+"""Per-op timings of the conv, max-pool and batchnorm kernels at the layer
+shapes of the tinydncnn and tinyvgg nets, one forward plus backward per round.
 
     pytest tests/test_kernel_bench.py --benchmark-only
 
@@ -10,7 +10,17 @@ never a time, so they cannot flake on a slow host.
 import numpy as np
 import pytest
 
-from gfbs.autograd import ConvParams, Tape, Tensor, backward, conv2d, maxpool2d, reduce_sum
+from gfbs.autograd import (
+    ConvParams,
+    ParamSet,
+    Tape,
+    Tensor,
+    backward,
+    batchnorm,
+    conv2d,
+    maxpool2d,
+    reduce_sum,
+)
 
 pytest.importorskip("pytest_benchmark")
 
@@ -55,5 +65,22 @@ def test_maxpool2d_forward_backward(benchmark):
 
     out, x = benchmark.pedantic(_forward_backward, setup=setup, rounds=ROUNDS)
     assert out.shape == (32, 16, 8, 8)
+    assert x.grad.shape == x.shape
+    assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
+
+
+def test_batchnorm_forward_backward(benchmark):
+    # a tinydncnn block's norm in train mode: 32 channels of 12x12, N=16
+    rng = np.random.default_rng(0)
+
+    def setup():
+        params = ParamSet(weight=_f32(rng, 32, 32, 3, 3), bias=_f32(rng, 32),
+                          gamma=_f32(rng, 32), beta=_f32(rng, 32),
+                          running_mean=Tensor(np.zeros(32), dtype=np.float32),
+                          running_var=Tensor(np.ones(32), dtype=np.float32))
+        return (batchnorm, _f32(rng, 16, 32, 12, 12), params, "train"), {}
+
+    out, x = benchmark.pedantic(_forward_backward, setup=setup, rounds=ROUNDS)
+    assert out.shape == (16, 32, 12, 12) and out.dtype == np.float32
     assert x.grad.shape == x.shape
     assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()

@@ -77,7 +77,35 @@ linear 3
 """
 
 
+# one block of every kind; the residual pair wraps a conv_bn
+ALL_KINDS_SPEC = """\
+name allkinds
+input 2 8 8
+conv_bn_relu 4 3 1 1
+residual_begin
+conv_bn 4 3 1 1
+residual_add
+conv 3 1 1 0
+pool 0 2 2 0
+flatten
+linear 5
+"""
+
+
 class TestSpecText:
+    def test_format_spec_text_exact(self):
+        spec = parse_spec("# every kind\n" + ALL_KINDS_SPEC.replace(" 1 1\n", " 1  1\n"))
+        assert format_spec(spec) == ALL_KINDS_SPEC
+
+    @pytest.mark.parametrize("line, n", [
+        ("conv_bn_relu 4 3 1", 4), ("conv_bn 4 3 1 1 1", 4), ("conv 4", 4),
+        ("residual_begin 1", 0), ("residual_add 1", 0), ("pool 0 2 2", 4),
+        ("flatten 1", 0), ("linear 3 3", 1)])
+    def test_wrong_arity_per_kind(self, line, n):
+        kind = line.split()[0]
+        with pytest.raises(FormatError, match=rf"^line 3: {kind} takes {n} integer"):
+            parse_spec(f"name x\ninput 1 4 4\n{line}\n")
+
     def test_round_trip(self):
         spec = parse_spec(TINY)
         assert spec.name == "tiny"
@@ -267,6 +295,19 @@ class TestFlops:
         c2_half = 2 * 8 * 8 * 4 * 9 * 4
         assert c2_half * 4 == c2_full
         assert e_half[1] < e_full[1] / 3  # bn/relu terms keep it slightly above 1/4
+
+    def test_every_kind_flops_and_detail(self):
+        rep = count_flops(parse_spec(ALL_KINDS_SPEC))
+        assert [(e.flops, e.detail) for e in rep.entries] == [
+            (2 * 64 * 4 * 9 * 2 + 256 + 2 * 256 + 256, "2->4 k3 @8x8"),  # conv, bias, bn, relu
+            (0, ""),
+            (2 * 64 * 4 * 9 * 4 + 256 + 2 * 256, "4->4 k3 @8x8"),  # conv, bias, bn
+            (4 * 8 * 8, "@8x8"),
+            (2 * 64 * 3 * 4 + 192, "4->3 k1 @8x8"),
+            (2 * 2 * 3 * 4 * 4, "k2 @4x4"),
+            (0, ""),
+            (2 * 48 * 5 + 5, "48->5")]
+        assert rep.total == 32101
 
     def test_self_ratio_is_one(self):
         rep = count_flops(parse_spec(TINY))

@@ -9,9 +9,11 @@ from gfbs.autograd import Tensor, loss as loss_op
 from gfbs.errors import ConfigError, FormatError
 from gfbs.netgraph import build_network, forward_full, parse_spec
 from gfbs.saliency import (
+    CSV_HEADER,
     PruneConfig,
     SaliencyRecord,
     capture,
+    group_scores,
     normalize_layerwise,
     read_saliency_csv,
     saliency_records,
@@ -293,6 +295,18 @@ class TestCsv:
         score(loaded, PruneConfig(lam=0.5))
         np.testing.assert_allclose([r.score for r in loaded], written, rtol=1e-7, atol=1e-8)
 
+    @pytest.mark.parametrize("col, value", [(3, "nan"), (2, "inf"), (8, "-inf"), (6, "NaN")])
+    def test_non_finite_field_rejected(self, tmp_path, col, value):
+        p = tmp_path / "a.csv"
+        write_saliency_csv(self.full_records(), p)
+        lines = p.read_text().splitlines()
+        row = lines[2].split(",")
+        row[col] = value
+        lines[2] = ",".join(row)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=rf"a\.csv:3: non-finite {CSV_HEADER[col]}$"):
+            read_saliency_csv(p, parse_spec(TWO_BLOCK))
+
     @pytest.mark.parametrize("row", ["1,0", "0,4", "5,0"])
     def test_rows_outside_the_spec_rejected(self, tmp_path, row):
         # block 1 is a pool, block 0 has 4 channels, block 5 does not exist
@@ -310,3 +324,14 @@ class TestCsv:
              "grad_gamma_n", "beta_n", "score", "group", "rank"]) + "\n")
         with pytest.raises(FormatError):
             read_saliency_csv(p, parse_spec(TWO_BLOCK))
+
+
+class TestGroupScores:
+    def test_mean_of_members_in_group_order(self):
+        spec = parse_spec(SKIP_BLOCK)
+        recs = [SaliencyRecord(layer=l, channel=c, gamma=0, grad_gamma=0, beta=0, weight_l1=0,
+                               has_relu=True, group=-1, score=l + c / 8)
+                for l in (0, 2, 3) for c in range(4)]
+        # channel c of blocks 0 and 3 share a group; block 2's channels stand alone
+        assert group_scores(recs, spec.groups) == [
+            (0 + c / 8 + 3 + c / 8) / 2 for c in range(4)] + [2 + c / 8 for c in range(4)]

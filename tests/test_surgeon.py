@@ -186,7 +186,7 @@ class TestPlanning:
         spec = parse_spec(CHAIN)
         net = build_network(spec, seed=0)
         recs = chain_records(spec)[:-1]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"channel ChannelRef\(layer=2, channel=7\)"):
             plan_prune(net, recs, PruneConfig())
 
 
