@@ -84,6 +84,10 @@ def _outdir(args) -> Path:
     return out
 
 
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
 def _write_manifest(out: Path, command: str, args, extra: dict | None = None) -> None:
     doc = {
         "command": command,
@@ -97,24 +101,14 @@ def _write_manifest(out: Path, command: str, args, extra: dict | None = None) ->
     }
     if extra:
         doc.update(extra)
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "manifest.json", doc)
 
 
-def _train_config(args, data) -> TrainConfig:
-    presets = {
-        "classify": classify_train_config,
-        "classify_finetune": classify_finetune_config,
-        "denoise": denoise_train_config,
-        "denoise_finetune": denoise_finetune_config,
-    }
-    name = args.preset
-    if name == "auto":
-        name = "denoise" if data.task == "denoise" else "classify"
-    elif name == "auto_finetune":
-        name = "denoise_finetune" if data.task == "denoise" else "classify_finetune"
-    cfg = presets[name](seed=args.seed)
+def _train_config(args, data, finetune: bool) -> TrainConfig:
+    """The task's train or finetune preset, with --config and flag overrides."""
+    presets = {"classify": (classify_train_config, classify_finetune_config),
+               "denoise": (denoise_train_config, denoise_finetune_config)}
+    cfg = presets[data.task][finetune](seed=args.seed)
     overrides = _read_json(args.config, ConfigError) if args.config else {}
     for field_name in ("epochs", "batch_size", "lr"):
         value = getattr(args, field_name, None)
@@ -185,19 +179,26 @@ def _add_train_flags(sp) -> None:
 # subcommands
 
 
+def _fit(args, out: Path, net, data, finetune: bool) -> int:
+    """Train or finetune ``net`` with the task's preset: the best checkpoint,
+    metrics.csv, one printed line and the manifest."""
+    fit = run_finetune if finetune else run_train
+    history = fit(net, data, _train_config(args, data, finetune),
+                  ckpt_path=out / ("finetuned.ckpt" if finetune else "baseline.ckpt"))
+    write_metrics(history, out / "metrics.csv")
+    final = [m for m in history if m.split == "test"][-1]
+    label = "finetuned" if finetune else f"trained {net.spec.name}"
+    print(f"{label}: test loss {final.loss:.4f} metric {final.metric:.4f}")
+    _write_manifest(out, args.command, args, {"final_metric": final.metric})
+    return 0
+
+
 def cmd_train(args) -> int:
     out = _outdir(args)
     with open_text(args.spec) as fh:
         spec = parse_spec(fh.read())
     data = open_dataset(args.data)
-    net = build_network(spec, seed=args.seed)
-    cfg = _train_config(args, data)
-    history = run_train(net, data, cfg, ckpt_path=out / "baseline.ckpt")
-    write_metrics(history, out / "metrics.csv")
-    final = [m for m in history if m.split == "test"][-1]
-    print(f"trained {spec.name}: test loss {final.loss:.4f} metric {final.metric:.4f}")
-    _write_manifest(out, "train", args, {"final_metric": final.metric})
-    return 0
+    return _fit(args, out, build_network(spec, seed=args.seed), data, False)
 
 
 def cmd_saliency(args) -> int:
@@ -209,9 +210,7 @@ def cmd_saliency(args) -> int:
     records = saliency_records(net, x, y, data.loss_kind, cfg)
     write_saliency_csv(records, out / "saliency.csv")
     # the CSV drops the filter-norm fields; keep a lossless copy as well
-    with open(out / "records.json", "w") as fh:
-        json.dump([dataclasses.asdict(r) for r in records], fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "records.json", [dataclasses.asdict(r) for r in records])
     prunable = sum(1 for r in records if r.group >= 0)
     print(f"scored {len(records)} channels ({prunable} prunable) "
           f"with {cfg.criterion}, lambda={cfg.lam}")
@@ -248,9 +247,7 @@ def cmd_oracle(args) -> int:
               f"bottom-20% overlap {overlap}/{k} (random {expect:.2f})")
     else:
         print(f"oracle: {len(records)} groups probed")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     _write_manifest(out, "oracle", args, summary)
     return 0
 
@@ -266,21 +263,9 @@ def cmd_prune(args) -> int:
     l1 = {i: np.abs(net.params[i].weight.data).sum(axis=(1, 2, 3)) for i in net.bn_blocks()}
     for r in records:
         r.weight_l1 = float(l1[r.layer][r.channel])
-    plan = plan_prune(net, score(normalize_layerwise(records, ("weight_l1",)), cfg), cfg)
-    report = validate_plan(net, plan)
-    if not report.ok:
-        raise ConfigError("plan failed validation: " + "; ".join(report.violations))
-    pruned = apply_prune(net, plan)
-    write_plan(plan, out / "plan.json")
+    records = score(normalize_layerwise(records, ("weight_l1",)), cfg)
+    plan, pruned = _prune(net, records, cfg, out)
     save_checkpoint(pruned, out / "pruned.ckpt")
-    base_flops = count_flops(net.spec)
-    new_flops = count_flops(pruned.spec)
-    with open(out / "flops.txt", "w") as fh:
-        fh.write(f"baseline total {base_flops.total}\n")
-        fh.write(f"pruned   total {new_flops.total}\n")
-        fh.write(f"ratio {plan.flops_ratio:.6f}\n")
-        for n in new_flops.entries:
-            fh.write(f"  block {n.index:2d} {n.block.kind:14s} {n.flops:12d}  {n.detail}\n")
     note = " (shortfall: budget unreachable)" if plan.shortfall else ""
     print(f"pruned {len(plan.removed)} channels, achieved {plan.achieved_ratio:.3f} "
           f"of tau {plan.tau}, flops ratio {plan.flops_ratio:.3f}{note}")
@@ -290,17 +275,27 @@ def cmd_prune(args) -> int:
     return 0
 
 
+def _prune(net, records, cfg: PruneConfig, out: Path):
+    """Plan, check and apply one prune; writes plan.json and flops.txt."""
+    plan = plan_prune(net, records, cfg)
+    report = validate_plan(net, plan)
+    if not report.ok:
+        raise ConfigError("plan failed validation: " + "; ".join(report.violations))
+    pruned = apply_prune(net, plan)
+    write_plan(plan, out / "plan.json")
+    lines = [f"baseline total {count_flops(net.spec).total}",
+             f"pruned   total {count_flops(pruned.spec).total}",
+             f"ratio {plan.flops_ratio:.6f}",
+             *(f"  block {n.index:2d} {n.block.kind:14s} {n.flops:12d}  {n.detail}"
+               for n in pruned.spec.nodes)]
+    (out / "flops.txt").write_text("\n".join(lines) + "\n")
+    return plan, pruned
+
+
 def cmd_finetune(args) -> int:
     out = _outdir(args)
     net = load_checkpoint(args.ckpt)
-    data = open_dataset(args.data)
-    cfg = _train_config(args, data)
-    history = run_finetune(net, data, cfg, ckpt_path=out / "finetuned.ckpt")
-    write_metrics(history, out / "metrics.csv")
-    final = [m for m in history if m.split == "test"][-1]
-    print(f"finetuned: test loss {final.loss:.4f} metric {final.metric:.4f}")
-    _write_manifest(out, "finetune", args, {"final_metric": final.metric})
-    return 0
+    return _fit(args, out, net, open_dataset(args.data), True)
 
 
 def cmd_eval(args) -> int:
@@ -311,10 +306,8 @@ def cmd_eval(args) -> int:
     print(f"eval: loss {m.loss:.6f} {metric_name} {m.metric:.4f}")
     if args.out:
         out = _outdir(args)
-        with open(out / "eval.json", "w") as fh:
-            json.dump({"loss": m.loss, "metric": m.metric,
-                       "metric_name": metric_name}, fh, indent=2)
-            fh.write("\n")
+        _write_json(out / "eval.json",
+                    {"loss": m.loss, "metric": m.metric, "metric_name": metric_name})
         _write_manifest(out, "eval", args, {"metric": m.metric})
     return 0
 
@@ -373,7 +366,7 @@ def _sweep_lambda(args, out: Path) -> int:
     data = open_dataset(args.data)
     lambdas = [float(s) for s in args.lambdas.split(",")] if args.lambdas \
         else list(DEFAULT_LAMBDAS)
-    ft_cfg = _train_config(args, data)
+    ft_cfg = _train_config(args, data, True)
     # the captured and normalized columns do not depend on lambda: probe once
     x, y = data.capture_batch(args.probe_batch)
     captured = normalize_layerwise(capture(net, x, y, data.loss_kind))
@@ -385,9 +378,7 @@ def _sweep_lambda(args, out: Path) -> int:
                           batch_size=args.probe_batch)
         records = score([dataclasses.replace(r) for r in captured], cfg)
         write_saliency_csv(records, sub / "saliency.csv")
-        plan = plan_prune(net, records, cfg)
-        write_plan(plan, sub / "plan.json")
-        pruned = apply_prune(net, plan)
+        plan, pruned = _prune(net, records, cfg, sub)
         run_finetune(pruned, data, ft_cfg)
         m = evaluate(pruned, data)
         save_checkpoint(pruned, sub / "finetuned.ckpt")
@@ -418,13 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, seeds="nothing; only recorded in manifest.json"):
         sp.add_argument("--out", help="output directory (default runs/<timestamp>)")
-        sp.add_argument("--seed", type=int, default=0, help=f"seeds {seeds}")
+        if seeds:
+            sp.add_argument("--seed", type=int, default=0, help=f"seeds {seeds}")
 
     sp = sub.add_parser("train", help="train a baseline network")
     sp.add_argument("--spec", required=True, help="network spec file")
     sp.add_argument("--data", required=True, help="dataset descriptor")
-    sp.add_argument("--preset", default="auto",
-                    choices=["auto", "classify", "denoise"])
     _add_train_flags(sp)
     common(sp, seeds="the initial weights")
     sp.set_defaults(func=cmd_train)
@@ -459,9 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("finetune", help="retrain a pruned checkpoint")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--preset", default="auto_finetune",
-                    choices=["auto_finetune", "classify_finetune", "denoise_finetune",
-                             "classify", "denoise"])
     _add_train_flags(sp)
     common(sp)
     sp.set_defaults(func=cmd_finetune)
@@ -469,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate a checkpoint")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
-    common(sp)
+    common(sp, seeds=None)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("report", help="aggregate artifacts or run a lambda sweep")
@@ -482,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--min-keep", dest="min_keep", type=int, default=4)
     sp.add_argument("--probe-batch", dest="probe_batch", type=int, default=64,
                     help="batch size for the saliency capture")
-    sp.add_argument("--preset", default="auto_finetune",
-                    choices=["auto_finetune", "classify_finetune", "denoise_finetune"])
     _add_train_flags(sp)
     common(sp)
     sp.set_defaults(func=cmd_report)

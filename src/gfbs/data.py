@@ -81,8 +81,8 @@ class DatasetHandle:
     def capture_batch(self, m: int):
         """The fixed probe minibatch shared by saliency and oracle runs."""
         n = len(self.x_train)
-        if m > n:
-            raise ConfigError(f"capture batch of {m} exceeds train size {n}")
+        if not 1 <= m <= n:
+            raise ConfigError(f"capture batch must lie in [1, {n}] (the train size), got {m}")
         idx = _rng(self.seed, _CAPTURE).permutation(n)[:m]
         idx.sort()
         return self.x_train[idx], self.y_train[idx]

@@ -430,37 +430,32 @@ def count_flops(spec: NetworkSpec) -> FlopsReport:
 def _coupling_groups(nodes: tuple[Node, ...]) -> tuple[CouplingGroup, ...]:
     """Partition prunable channels into atomic groups.
 
-    A residual add joins channel c of its two producers, so channels
-    joined directly or through a chain of adds live or die together.
-    Keys are (producer, channel); the network input (-1) and plain-conv
-    outputs cannot be pruned, so any group containing one is dropped.
+    A residual add joins its two producers into one stream, so channel c
+    of every producer of a stream, joined directly or through a chain of
+    adds, lives or dies together: one group per channel of the stream.
+    Producers are conv block indices; the network input (-1) and
+    plain-conv outputs cannot be pruned, so their streams give no group.
     Group ids are assigned in order of each group's smallest member.
     """
-    parent: dict = {}
+    parent = {n.index: n.index for n in nodes if n.block.kind in CONV_KINDS}
 
-    def find(key):
-        parent.setdefault(key, key)
-        while parent[key] != key:
-            parent[key] = parent[parent[key]]
-            key = parent[key]
-        return key
+    def find(p):
+        parent.setdefault(p, p)
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
 
     for node in nodes:
         if node.skip_src is not None:
-            for c in range(node.out_shape[0]):
-                a, b = find((node.skip_src, c)), find((node.src, c))
-                if a != b:
-                    parent[b] = a
-    keys = set(parent)
-    keys.update((n.index, c) for n in nodes if n.block.kind in CONV_KINDS
-                for c in range(n.block.channels))
-    members: dict = {}
-    for key in keys:
-        members.setdefault(find(key), []).append(key)
-    groups = sorted(
-        tuple(sorted(ChannelRef(*k) for k in group_keys))
-        for group_keys in members.values()
-        if all(k[0] >= 0 and nodes[k[0]].block.kind in BN_KINDS for k in group_keys))
+            parent[find(node.src)] = find(node.skip_src)
+    streams: dict = {}
+    for p in sorted(parent):
+        streams.setdefault(find(p), []).append(p)
+    groups = sorted(tuple(ChannelRef(p, c) for p in members)
+                    for members in streams.values()
+                    if all(p >= 0 and nodes[p].block.kind in BN_KINDS for p in members)
+                    for c in range(nodes[members[0]].block.channels))
     return tuple(CouplingGroup(gid, refs) for gid, refs in enumerate(groups))
 
 

@@ -10,6 +10,7 @@ Also here: Spearman rank correlation with average-rank tie handling.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 
@@ -19,7 +20,6 @@ from .autograd import Tensor, loss as loss_op
 from .errors import ConfigError
 from .netgraph import (
     ChannelRef,
-    CouplingGroup,
     Network,
     forward_full,
 )
@@ -39,6 +39,23 @@ def _batch_loss(net: Network, batch_x: np.ndarray, batch_y, loss_kind: str) -> f
     return loss_op(out, batch_y, loss_kind).item()
 
 
+@contextlib.contextmanager
+def _zeroed(net: Network, refs, names: tuple[str, ...]):
+    """Zero channel ``ref.channel`` of the named tensors of each ref's block
+    for the body, and restore the saved values afterwards, also on error."""
+    saved = []
+    try:
+        for ref in refs:
+            for name in names:
+                t = getattr(net.params[ref.layer], name)
+                saved.append((t, ref.channel, t.data[ref.channel].copy()))
+                t.data[ref.channel] = 0.0
+        yield
+    finally:
+        for t, ch, value in reversed(saved):
+            t.data[ch] = value
+
+
 def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
                       loss_kind: str) -> list[OracleRecord]:
     """|loss-with-group-zeroed - base loss| for every prunable group.
@@ -52,21 +69,11 @@ def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
     snapshot = {name: t.data.copy() for name, t in net.named_tensors().items()}
     base = _batch_loss(net, batch_x, batch_y, loss_kind)
 
-    def eval_group(group: CouplingGroup) -> float:
-        saved = []
-        for ref in group.members:
-            gamma = net.params[ref.layer].gamma
-            saved.append((gamma, ref.channel, gamma.data[ref.channel].copy()))
-            gamma.data[ref.channel] = 0.0
-        try:
-            probed = _batch_loss(net, batch_x, batch_y, loss_kind)
-        finally:
-            for gamma, ch, value in saved:
-                gamma.data[ch] = value
-        return abs(probed - base)
-
-    records = [OracleRecord(group=g.group_id, members=g.members, delta_loss=eval_group(g))
-               for g in groups]
+    records = []
+    for g in groups:
+        with _zeroed(net, g.members, ("gamma",)):
+            delta = abs(_batch_loss(net, batch_x, batch_y, loss_kind) - base)
+        records.append(OracleRecord(group=g.group_id, members=g.members, delta_loss=delta))
     for name, t in net.named_tensors().items():
         if not np.array_equal(t.data, snapshot[name]):
             raise ConfigError(f"oracle probe failed to restore {name}")
@@ -88,20 +95,10 @@ def spot_check_zero_equivalence(net: Network, batch_x: np.ndarray, batch_y,
     """
     worst = 0.0
     for ref in refs:
-        p = net.params[ref.layer]
-        g_saved = p.gamma.data[ref.channel].copy()
-        p.gamma.data[ref.channel] = 0.0
-        via_gamma = _batch_loss(net, batch_x, batch_y, loss_kind)
-        p.gamma.data[ref.channel] = g_saved
-
-        w_saved = p.weight.data[ref.channel].copy()
-        b_saved = p.bias.data[ref.channel].copy()
-        p.weight.data[ref.channel] = 0.0
-        p.bias.data[ref.channel] = 0.0
-        via_filter = _batch_loss(net, batch_x, batch_y, loss_kind)
-        p.weight.data[ref.channel] = w_saved
-        p.bias.data[ref.channel] = b_saved
-
+        with _zeroed(net, [ref], ("gamma",)):
+            via_gamma = _batch_loss(net, batch_x, batch_y, loss_kind)
+        with _zeroed(net, [ref], ("weight", "bias")):
+            via_filter = _batch_loss(net, batch_x, batch_y, loss_kind)
         worst = max(worst, abs(via_gamma - via_filter))
     return worst
 

@@ -219,8 +219,8 @@ def write_saliency_csv(records: list[SaliencyRecord], path) -> None:
 def read_saliency_csv(path, spec: NetworkSpec) -> list[SaliencyRecord]:
     """Records of a saliency CSV written for ``spec``. ``has_relu`` comes from
     each row's block kind; ``weight_l1`` and ``weight_l1_n`` are not in the
-    CSV and read as 0."""
-    records: list[SaliencyRecord] = []
+    CSV and read as 0. A channel may have one row only."""
+    records: dict[tuple[int, int], SaliencyRecord] = {}
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -235,16 +235,19 @@ def read_saliency_csv(path, spec: NetworkSpec) -> list[SaliencyRecord]:
                 if block is None or block.kind not in BN_KINDS or not 0 <= channel < block.channels:
                     raise FormatError(f"{path}:{lineno}: spec {spec.name!r} has no "
                                       f"norm channel {channel} in block {layer}")
+                if (layer, channel) in records:
+                    raise FormatError(f"{path}:{lineno}: repeated row for channel {channel} "
+                                      f"of block {layer}")
                 floats = {name: float(v) for name, v in zip(CSV_HEADER[2:9], row[2:9])}
                 bad = [name for name, v in floats.items() if not math.isfinite(v)]
                 if bad:
                     raise FormatError(f"{path}:{lineno}: non-finite {', '.join(bad)}")
-                records.append(SaliencyRecord(
+                records[layer, channel] = SaliencyRecord(
                     layer=layer, channel=channel, weight_l1=0.0,
                     has_relu=block.kind == "conv_bn_relu", group=int(row[9]),
-                    rank=int(row[10]), **floats))
+                    rank=int(row[10]), **floats)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
     if not records:
         raise FormatError(f"{path}: no saliency rows")
-    return records
+    return list(records.values())

@@ -156,12 +156,9 @@ def train(net: Network, data: DatasetHandle, cfg: TrainConfig,
             except NumericError as exc:
                 raise NumericError(
                     f"divergence at epoch {epoch} batch {bi}: {exc}") from exc
-            value = scalar.item()
-            if not math.isfinite(value):
-                raise NumericError(f"loss became {value} at epoch {epoch} batch {bi}")
             backward(tape, scalar)
             opt.step()
-            losses.append(value)
+            losses.append(scalar.item())
             metrics.append(float(np.mean(_per_sample_metric(task, out.data, yb))))
         history.append(Metrics(epoch, "train", float(np.mean(losses)),
                                float(np.mean(metrics)), time.monotonic() - t0))

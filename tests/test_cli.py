@@ -4,15 +4,18 @@ A tiny classifier is trained once per session and the artifact-producing
 subcommands run against it in throwaway directories.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from helpers import run_cli, write_ckpt
 
+from gfbs import cli
 from gfbs.cli import main
 from gfbs.netgraph import load_checkpoint
 from gfbs.saliency import CSV_HEADER
+from gfbs.surgeon import plan_prune
 
 DATA = "shapes:n_train=192,n_test=48,size=12,seed=3"
 SPEC_TEXT = """\
@@ -216,6 +219,32 @@ class TestReportCommand:
         out = run_cli("report", "--dir", tmp_path / "run", "--out", tmp_path / "report")
         assert_one_line_error(out, 4)
 
+    def sweep(self, workdir, out):
+        return main(["report", "--sweep-lambda", "--ckpt", str(workdir / "train" / "baseline.ckpt"),
+                     "--data", DATA, "--lambdas", "0,0.5", "--tau", "0.25", "--epochs", "1",
+                     "--out", str(out)])
+
+    def test_sweep_writes_plan_and_flops_per_lambda(self, workdir, tmp_path):
+        assert self.sweep(workdir, tmp_path / "sweep") == 0
+        for lam in ("0", "0.5"):
+            sub = tmp_path / "sweep" / f"lambda_{lam}"
+            doc = json.loads((sub / "plan.json").read_text())
+            lines = (sub / "flops.txt").read_text().splitlines()
+            assert lines[0].startswith("baseline total ")
+            assert lines[2] == f"ratio {doc['flops_ratio']:.6f}"
+            assert len(lines) == 3 + 5  # totals and ratio, then one line per block
+
+    def test_sweep_stops_at_a_plan_failing_validation(self, workdir, tmp_path, monkeypatch,
+                                                      capsys):
+        def bad_plan(net, records, cfg):  # claims a floor its kept lists break
+            return dataclasses.replace(plan_prune(net, records, cfg), min_keep=99)
+
+        monkeypatch.setattr(cli, "plan_prune", bad_plan)
+        assert self.sweep(workdir, tmp_path / "sweep") == 2
+        assert "plan failed validation" in capsys.readouterr().err
+        assert not (tmp_path / "sweep" / "lambda_0" / "plan.json").exists()
+        assert not (tmp_path / "sweep" / "report.md").exists()
+
     def test_report_without_dir_errors(self):
         with pytest.raises(SystemExit) as exc:
             main(["report"])
@@ -305,6 +334,33 @@ class TestExitCodes:
         assert "nan.csv:2: non-finite grad_gamma, grad_gamma_n" in out.stderr
         assert not (tmp_path / "out" / "plan.json").exists()
 
+    def test_repeated_saliency_row_is_format_error(self, workdir, saliency_dir, tmp_path):
+        lines = (saliency_dir / "saliency.csv").read_text().splitlines()
+        csv = tmp_path / "twice.csv"
+        csv.write_text("\n".join(lines + [lines[1]]) + "\n")
+        out = run_cli("prune", "--ckpt", workdir / "train" / "baseline.ckpt",
+                      "--saliency", csv, "--tau", "0.3", "--out", tmp_path / "out")
+        assert_one_line_error(out, 4)
+        assert f"twice.csv:{len(lines) + 1}: repeated row for channel 0 of block 0" in out.stderr
+
+    def test_probe_batch_below_one_is_config_error(self, workdir, tmp_path):
+        out = run_cli("oracle", "--ckpt", workdir / "train" / "baseline.ckpt", "--data", DATA,
+                      "--batch-size", "-1", "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+        assert "capture batch must lie in [1, 192] (the train size), got -1" in out.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--spec", "net.spec", "--data", DATA, "--preset", "classify"],
+        ["finetune", "--ckpt", "a.ckpt", "--data", DATA, "--preset", "classify_finetune"],
+        ["report", "--dir", ".", "--preset", "auto_finetune"],
+        ["eval", "--ckpt", "a.ckpt", "--data", DATA, "--seed", "1"],
+    ], ids=["train_preset", "finetune_preset", "report_preset", "eval_seed"])
+    def test_deleted_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_saliency_missing_a_channel_is_config_error(self, workdir, saliency_dir, tmp_path):
         csv = tmp_path / "short.csv"
         csv.write_text("".join((saliency_dir / "saliency.csv").read_text().splitlines(True)[:-1]))
@@ -325,3 +381,13 @@ def test_console_script_help():
     assert out.returncode == 0
     for name in ("train", "saliency", "oracle", "prune", "finetune", "report"):
         assert name in out.stdout
+
+
+@pytest.mark.parametrize("command", ["train", "finetune", "report", "eval"])
+def test_help_omits_deleted_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "--preset" not in text
+    assert ("--seed" in text) == (command != "eval")

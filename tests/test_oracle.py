@@ -8,7 +8,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfbs.errors import ConfigError
+from gfbs import oracle
+from gfbs.errors import ConfigError, NumericError
 from gfbs.netgraph import ChannelRef, build_coupling_groups, build_network, parse_spec
 from gfbs.oracle import (
     OracleRecord,
@@ -90,6 +91,25 @@ class TestOracle:
                 ChannelRef(2, 5), ChannelRef(2, 0)]
         worst = spot_check_zero_equivalence(net, x, y, "cross_entropy", refs)
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("fail_at", [1, 2], ids=["gamma_edit", "filter_edit"])
+    def test_error_mid_spot_check_restores_net(self, monkeypatch, fail_at):
+        net = make_net()
+        before = {k: v.data.copy() for k, v in net.named_tensors().items()}
+        x, y = probe_batch(net)
+        probe, calls = oracle._batch_loss, []
+
+        def failing_probe(*args):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise NumericError("probe failed")
+            return probe(*args)
+
+        monkeypatch.setattr(oracle, "_batch_loss", failing_probe)
+        with pytest.raises(NumericError, match="probe failed"):
+            spot_check_zero_equivalence(net, x, y, "cross_entropy", [ChannelRef(2, 2)])
+        for k, v in net.named_tensors().items():
+            np.testing.assert_array_equal(v.data, before[k])
 
     def test_residual_group_zeroed_atomically(self):
         spec = parse_spec(

@@ -1,5 +1,7 @@
 """Tests for probe capture, layer normalization, and channel scoring."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 from gfbs.autograd import Tensor, loss as loss_op
 from gfbs.errors import ConfigError, FormatError
 from gfbs.netgraph import build_network, forward_full, parse_spec
+from gfbs.oracle import spearman
 from gfbs.saliency import (
+    CRITERIA,
     CSV_HEADER,
     PruneConfig,
     SaliencyRecord,
@@ -172,7 +176,7 @@ class TestNormalize:
         recs = normalize_layerwise(recs)
         assert [r.gamma_n for r in recs] == pytest.approx([0.6, 0.8, 0.6, 0.8])
 
-    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+    @given(st.lists(st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True),
                     min_size=1, max_size=32))
     @settings(max_examples=50, deadline=None)
     def test_unit_norm_or_zero(self, gammas):
@@ -184,6 +188,12 @@ class TestNormalize:
             assert np.max(np.abs(vec)) <= 1.0 + 1e-12
         else:
             assert norm == 0.0
+        # the same draws, from subnormal to 1e300, through scoring and ranking
+        for criterion in CRITERIA:
+            scores = [r.score for r in score(recs, PruneConfig(lam=0.5, criterion=criterion))]
+            assert all(math.isfinite(s) for s in scores)
+            if len(set(gammas)) > 1 and len(set(scores)) > 1:
+                assert -1.0 <= spearman(gammas, scores) <= 1.0
 
     def test_tiny_layers_reach_unit_norm(self):
         # the squared norm of either vector underflows in float64
@@ -305,6 +315,16 @@ class TestCsv:
         lines[2] = ",".join(row)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=rf"a\.csv:3: non-finite {CSV_HEADER[col]}$"):
+            read_saliency_csv(p, parse_spec(TWO_BLOCK))
+
+    def test_repeated_row_rejected(self, tmp_path):
+        # a second row for one channel would skew its layer's norms and ranks
+        p = tmp_path / "a.csv"
+        write_saliency_csv(self.full_records(), p)
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(FormatError, match=rf"a\.csv:{len(lines) + 1}: repeated row for "
+                                              r"channel 0 of block 0$"):
             read_saliency_csv(p, parse_spec(TWO_BLOCK))
 
     @pytest.mark.parametrize("row", ["1,0", "0,4", "5,0"])

@@ -130,6 +130,16 @@ class TestTrainLoop:
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             train(net, data, cfg)
 
+    def test_forward_overflow_names_epoch_and_batch(self):
+        # the first training forward overflows float32 in conv2d
+        net, data = small_setup()
+        net.params[0].weight.data[:] = 3e38
+        cfg = TrainConfig(epochs=1, batch_size=32, lr=0.01)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=r"^divergence at epoch 0 batch 0: non-finite "
+                                                  r"values produced by conv2d$"):
+            train(net, data, cfg)
+
     def test_best_checkpoint_written(self, tmp_path):
         net, data = small_setup()
         ckpt = tmp_path / "best.ckpt"
