@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import open_dataset
-from .errors import ConfigError, FormatError, GfbsError, open_text
+from .errors import ConfigError, FormatError, GfbsError, open_text, write_json
 from .netgraph import (
     build_network,
     count_flops,
@@ -84,10 +84,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def _write_manifest(out: Path, command: str, args, extra: dict | None = None) -> None:
     doc = {
         "command": command,
@@ -101,7 +97,7 @@ def _write_manifest(out: Path, command: str, args, extra: dict | None = None) ->
     }
     if extra:
         doc.update(extra)
-    _write_json(out / "manifest.json", doc)
+    write_json(out / "manifest.json", doc)
 
 
 def _train_config(args, data, finetune: bool) -> TrainConfig:
@@ -186,7 +182,7 @@ def _fit(args, out: Path, net, data, finetune: bool) -> int:
     history = fit(net, data, _train_config(args, data, finetune),
                   ckpt_path=out / ("finetuned.ckpt" if finetune else "baseline.ckpt"))
     write_metrics(history, out / "metrics.csv")
-    final = [m for m in history if m.split == "test"][-1]
+    final = history[-1]  # train ends with a test pass over the final weights
     label = "finetuned" if finetune else f"trained {net.spec.name}"
     print(f"{label}: test loss {final.loss:.4f} metric {final.metric:.4f}")
     _write_manifest(out, args.command, args, {"final_metric": final.metric})
@@ -210,7 +206,7 @@ def cmd_saliency(args) -> int:
     records = saliency_records(net, x, y, data.loss_kind, cfg)
     write_saliency_csv(records, out / "saliency.csv")
     # the CSV drops the filter-norm fields; keep a lossless copy as well
-    _write_json(out / "records.json", [dataclasses.asdict(r) for r in records])
+    write_json(out / "records.json", [dataclasses.asdict(r) for r in records])
     prunable = sum(1 for r in records if r.group >= 0)
     print(f"scored {len(records)} channels ({prunable} prunable) "
           f"with {cfg.criterion}, lambda={cfg.lam}")
@@ -247,7 +243,7 @@ def cmd_oracle(args) -> int:
               f"bottom-20% overlap {overlap}/{k} (random {expect:.2f})")
     else:
         print(f"oracle: {len(records)} groups probed")
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     _write_manifest(out, "oracle", args, summary)
     return 0
 
@@ -306,8 +302,8 @@ def cmd_eval(args) -> int:
     print(f"eval: loss {m.loss:.6f} {metric_name} {m.metric:.4f}")
     if args.out:
         out = _outdir(args)
-        _write_json(out / "eval.json",
-                    {"loss": m.loss, "metric": m.metric, "metric_name": metric_name})
+        write_json(out / "eval.json",
+                   {"loss": m.loss, "metric": m.metric, "metric_name": metric_name})
         _write_manifest(out, "eval", args, {"metric": m.metric})
     return 0
 
@@ -362,27 +358,28 @@ def cmd_report(args) -> int:
 
 def _sweep_lambda(args, out: Path) -> int:
     """Score/prune/finetune/eval once per lambda with a shared budget."""
+    try:  # every lambda is checked before the probe runs or a directory is made
+        cfgs = [PruneConfig(lam=float(lam), tau=args.tau, min_keep=args.min_keep,
+                            batch_size=args.probe_batch)
+                for lam in (args.lambdas.split(",") if args.lambdas else DEFAULT_LAMBDAS)]
+    except ValueError as exc:
+        raise ConfigError(f"--lambdas: {exc}") from exc
     net = load_checkpoint(args.ckpt)
     data = open_dataset(args.data)
-    lambdas = [float(s) for s in args.lambdas.split(",")] if args.lambdas \
-        else list(DEFAULT_LAMBDAS)
     ft_cfg = _train_config(args, data, True)
     # the captured and normalized columns do not depend on lambda: probe once
     x, y = data.capture_batch(args.probe_batch)
     captured = normalize_layerwise(capture(net, x, y, data.loss_kind))
     rows = []
-    for lam in lambdas:
-        sub = out / f"lambda_{lam:g}"
+    for cfg in cfgs:
+        sub = out / f"lambda_{cfg.lam:g}"
         sub.mkdir(parents=True, exist_ok=True)
-        cfg = PruneConfig(lam=lam, tau=args.tau, min_keep=args.min_keep,
-                          batch_size=args.probe_batch)
         records = score([dataclasses.replace(r) for r in captured], cfg)
         write_saliency_csv(records, sub / "saliency.csv")
         plan, pruned = _prune(net, records, cfg, sub)
-        run_finetune(pruned, data, ft_cfg)
-        m = evaluate(pruned, data)
+        metric = run_finetune(pruned, data, ft_cfg)[-1].metric  # the final test pass
         save_checkpoint(pruned, sub / "finetuned.ckpt")
-        rows.append((lam, plan.achieved_ratio, plan.flops_ratio, m.metric))
+        rows.append((cfg.lam, plan.achieved_ratio, plan.flops_ratio, metric))
     lines = ["# Lambda sweep", "",
              f"tau {args.tau}, finetune epochs {ft_cfg.epochs}", "",
              "| lambda | achieved ratio | flops ratio | final metric |",

@@ -9,6 +9,8 @@ regeneration is exact and splits never overlap.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -170,41 +172,31 @@ def gen_shapes_dataset(n_train: int, n_test: int, image_size: int = 16,
 # IDX files
 
 
-def _read_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
+    """The uint8 array of an IDX file whose header holds ``magic`` and
+    ``ndim`` big-endian u32 dims; a payload the header declares but the
+    file lacks is a FormatError, raised before the payload is read."""
     with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) != 16:
-            raise FormatError(f"{path}: truncated IDX image header")
-        magic, count, rows, cols = struct.unpack(">IIII", head)
-        if magic != IDX_MAGIC_IMAGES:
-            raise FormatError(f"{path}: bad IDX image magic {magic:#010x}")
-        raw = fh.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise FormatError(f"{path}: truncated IDX image data")
-        pixels = np.frombuffer(raw, dtype=np.uint8)
-    return (pixels.reshape(count, 1, rows, cols).astype(np.float32)) / 255.0
-
-
-def _read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) != 8:
-            raise FormatError(f"{path}: truncated IDX label header")
-        magic, count = struct.unpack(">II", head)
-        if magic != IDX_MAGIC_LABELS:
-            raise FormatError(f"{path}: bad IDX label magic {magic:#010x}")
-        raw = fh.read(count)
-        if len(raw) != count:
-            raise FormatError(f"{path}: truncated IDX label data")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        head = fh.read(4 + 4 * ndim)
+        if len(head) != 4 + 4 * ndim:
+            raise FormatError(f"{path}: truncated IDX header")
+        found, *dims = struct.unpack(f">{1 + ndim}I", head)
+        if found != magic:
+            raise FormatError(f"{path}: bad IDX magic {found:#010x}, expected {magic:#010x}")
+        size = math.prod(dims)  # exact: Python ints do not overflow
+        left = os.fstat(fh.fileno()).st_size - len(head)
+        if size > left:
+            raise FormatError(f"{path}: IDX header declares {size} bytes, "
+                              f"but only {left} remain")
+        return np.frombuffer(fh.read(size), dtype=np.uint8).reshape(dims)
 
 
 def load_idx(images_path, labels_path, test_fraction: float = 0.1,
              seed: int = 0) -> DatasetHandle:
     """Big-endian IDX image/label pair, normalized to [0,1]; the tail
     ``test_fraction`` of a seeded permutation becomes the test split."""
-    images = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
+    images = _read_idx(images_path, IDX_MAGIC_IMAGES, 3)[:, None].astype(np.float32) / 255.0
+    labels = _read_idx(labels_path, IDX_MAGIC_LABELS, 1).astype(np.int64)
     if len(images) != len(labels):
         raise FormatError(
             f"IDX count mismatch: {len(images)} images vs {len(labels)} labels")

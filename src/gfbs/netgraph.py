@@ -494,10 +494,7 @@ def save_checkpoint(net: Network, path) -> None:
         buf.write(struct.pack("<BB", _DTYPE_TAGS[t.data.dtype], t.data.ndim))
         for d in t.shape:
             buf.write(struct.pack("<I", d))
-        data = t.data
-        if data.dtype.byteorder == ">":
-            data = data.astype(data.dtype.newbyteorder("<"))
-        buf.write(np.ascontiguousarray(data).tobytes())
+        buf.write(np.ascontiguousarray(t.data).tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 

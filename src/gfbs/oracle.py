@@ -11,13 +11,12 @@ Also here: Spearman rank correlation with average-rank tie handling.
 from __future__ import annotations
 
 import contextlib
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import Tensor, loss as loss_op
-from .errors import ConfigError
+from .errors import ConfigError, write_csv
 from .netgraph import (
     ChannelRef,
     Network,
@@ -166,14 +165,6 @@ ORACLE_HEADER = ["layer", "channel", "group", "delta_loss", "rank"]
 
 
 def write_oracle_csv(records: list[OracleRecord], path) -> None:
-    rows = []
-    for r in records:
-        for ref in r.members:
-            rows.append((ref.layer, ref.channel, r.group, r.delta_loss, r.rank))
-    rows.sort(key=lambda row: (row[0], row[1]))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ORACLE_HEADER)
-        for layer, channel, group, delta, rank in rows:
-            writer.writerow([layer, channel, group, f"{delta:.9g}", rank])
-
+    write_csv(path, ORACLE_HEADER, sorted(
+        (ref.layer, ref.channel, r.group, r.delta_loss, r.rank)
+        for r in records for ref in r.members))

@@ -17,15 +17,14 @@ instead and ignores the probe gradients entirely.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import Tape, Tensor, backward, loss as loss_op
-from .errors import ConfigError, FormatError, open_text
+from .errors import ConfigError, FormatError, read_csv, write_csv
 from .netgraph import BN_KINDS, ChannelRef, Network, NetworkSpec, forward_full, group_lookup
 
 CRITERIA = ("gfbs", "gamma_only", "beta_only", "l1_filter")
@@ -45,8 +44,8 @@ class PruneConfig:
     min_keep: int = 4
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
+        if not 0.0 <= self.lam < math.inf:  # also false for NaN
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 < self.tau < 1.0:
             raise ConfigError("tau must lie strictly inside (0, 1)")
         if self.criterion not in CRITERIA:
@@ -204,16 +203,8 @@ def saliency_records(net: Network, batch_x: np.ndarray, batch_y: np.ndarray,
 
 
 def write_saliency_csv(records: list[SaliencyRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in sorted(records, key=lambda r: (r.layer, r.channel)):
-            writer.writerow([
-                r.layer, r.channel,
-                f"{r.gamma:.9g}", f"{r.grad_gamma:.9g}", f"{r.beta:.9g}",
-                f"{r.gamma_n:.9g}", f"{r.grad_gamma_n:.9g}", f"{r.beta_n:.9g}",
-                f"{r.score:.9g}", r.group, r.rank,
-            ])
+    write_csv(path, CSV_HEADER, ([getattr(r, name) for name in CSV_HEADER]
+                                 for r in sorted(records, key=lambda r: (r.layer, r.channel))))
 
 
 def read_saliency_csv(path, spec: NetworkSpec) -> list[SaliencyRecord]:
@@ -221,33 +212,26 @@ def read_saliency_csv(path, spec: NetworkSpec) -> list[SaliencyRecord]:
     each row's block kind; ``weight_l1`` and ``weight_l1_n`` are not in the
     CSV and read as 0. A channel may have one row only."""
     records: dict[tuple[int, int], SaliencyRecord] = {}
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise FormatError(f"{path}: unexpected saliency CSV header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise FormatError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
-            try:
-                layer, channel = int(row[0]), int(row[1])
-                block = spec.blocks[layer] if 0 <= layer < len(spec.blocks) else None
-                if block is None or block.kind not in BN_KINDS or not 0 <= channel < block.channels:
-                    raise FormatError(f"{path}:{lineno}: spec {spec.name!r} has no "
-                                      f"norm channel {channel} in block {layer}")
-                if (layer, channel) in records:
-                    raise FormatError(f"{path}:{lineno}: repeated row for channel {channel} "
-                                      f"of block {layer}")
-                floats = {name: float(v) for name, v in zip(CSV_HEADER[2:9], row[2:9])}
-                bad = [name for name, v in floats.items() if not math.isfinite(v)]
-                if bad:
-                    raise FormatError(f"{path}:{lineno}: non-finite {', '.join(bad)}")
-                records[layer, channel] = SaliencyRecord(
-                    layer=layer, channel=channel, weight_l1=0.0,
-                    has_relu=block.kind == "conv_bn_relu", group=int(row[9]),
-                    rank=int(row[10]), **floats)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
+    for lineno, row in read_csv(path, CSV_HEADER):
+        try:
+            layer, channel = int(row[0]), int(row[1])
+            block = spec.blocks[layer] if 0 <= layer < len(spec.blocks) else None
+            if block is None or block.kind not in BN_KINDS or not 0 <= channel < block.channels:
+                raise FormatError(f"{path}:{lineno}: spec {spec.name!r} has no "
+                                  f"norm channel {channel} in block {layer}")
+            if (layer, channel) in records:
+                raise FormatError(f"{path}:{lineno}: repeated row for channel {channel} "
+                                  f"of block {layer}")
+            floats = {name: float(v) for name, v in zip(CSV_HEADER[2:9], row[2:9])}
+            bad = [name for name, v in floats.items() if not math.isfinite(v)]
+            if bad:
+                raise FormatError(f"{path}:{lineno}: non-finite {', '.join(bad)}")
+            records[layer, channel] = SaliencyRecord(
+                layer=layer, channel=channel, weight_l1=0.0,
+                has_relu=block.kind == "conv_bn_relu", group=int(row[9]),
+                rank=int(row[10]), **floats)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
     if not records:
         raise FormatError(f"{path}: no saliency rows")
     return list(records.values())

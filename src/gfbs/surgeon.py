@@ -18,14 +18,13 @@ piece finetuning later absorbs.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, write_json
 from .netgraph import (
     BN_KINDS,
     CONV_KINDS,
@@ -201,7 +200,7 @@ def validate_plan(net: Network, plan: PrunePlan) -> ValidationReport:
 
 def write_plan(plan: PrunePlan, path) -> None:
     group_of = group_lookup(plan.base_spec.groups)
-    doc = {
+    write_json(path, {
         "spec_name": plan.base_spec.name,
         "tau": plan.tau,
         "min_keep": plan.min_keep,
@@ -214,8 +213,5 @@ def write_plan(plan: PrunePlan, path) -> None:
         "achieved_ratio": plan.achieved_ratio,
         "flops_ratio": plan.flops_ratio,
         "shortfall": plan.shortfall,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
 

@@ -10,7 +10,6 @@ nothing reads ``TrainConfig.seed``.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -19,7 +18,7 @@ import numpy as np
 
 from .autograd import SGD, Tape, Tensor, backward, loss as loss_op
 from .data import DatasetHandle
-from .errors import ConfigError, FormatError, NumericError, open_text
+from .errors import ConfigError, FormatError, NumericError, read_csv, write_csv
 from .netgraph import Network, forward_full, save_checkpoint
 
 PSNR_CAP_DB = 100.0
@@ -197,27 +196,16 @@ def evaluate(net: Network, data: DatasetHandle, batch_size: int = 256) -> Metric
 
 
 def write_metrics(history: list[Metrics], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_HEADER)
-        for m in history:
-            writer.writerow([m.epoch, m.split, f"{m.loss:.9g}", f"{m.metric:.9g}"])
+    write_csv(path, METRICS_HEADER, ((m.epoch, m.split, m.loss, m.metric) for m in history))
 
 
 def read_metrics(path) -> list[Metrics]:
     out: list[Metrics] = []
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != METRICS_HEADER:
-            raise FormatError(f"{path}: unexpected metrics CSV header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                out.append(Metrics(int(row[0]), row[1], float(row[2]), float(row[3])))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
+    for lineno, row in read_csv(path, METRICS_HEADER):
+        try:
+            out.append(Metrics(int(row[0]), row[1], float(row[2]), float(row[3])))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
     return out
 
 

@@ -1,5 +1,5 @@
-"""Shared test utilities: the finite-difference gradient check, a
-byte-level checkpoint writer and a runner for the command-line tool in a
+"""Shared test utilities: the finite-difference gradient check, byte-level
+checkpoint and IDX writers and a runner for the command-line tool in a
 child process."""
 
 import os
@@ -37,6 +37,18 @@ def write_ckpt(path, spec_text, records):
         buf += struct.pack("<I", len(nb)) + nb + struct.pack("<BB", tag, len(dims))
         buf += b"".join(struct.pack("<I", d) for d in dims) + raw
     path.write_bytes(buf)
+
+
+def write_idx(directory, images, labels):
+    """Write ``images`` (N x H x W) and ``labels`` (N) as the uint8 IDX pair
+    ``imgs.idx`` and ``labs.idx`` in ``directory``; returns both paths."""
+    imgs = np.asarray(images, dtype=np.uint8)
+    labs = np.asarray(labels, dtype=np.uint8)
+    ip = Path(directory) / "imgs.idx"
+    lp = Path(directory) / "labs.idx"
+    ip.write_bytes(struct.pack(">IIII", 0x803, *imgs.shape) + imgs.tobytes())
+    lp.write_bytes(struct.pack(">II", 0x801, len(labs)) + labs.tobytes())
+    return ip, lp
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

@@ -245,6 +245,34 @@ class TestReportCommand:
         assert not (tmp_path / "sweep" / "lambda_0" / "plan.json").exists()
         assert not (tmp_path / "sweep" / "report.md").exists()
 
+    def test_sweep_metric_is_the_finetune_final_test_pass(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "evaluate", lambda *a: pytest.fail("extra test pass"))
+        assert self.sweep(workdir, tmp_path / "sweep") == 0
+        monkeypatch.undo()
+        rows = [line for line in (tmp_path / "sweep" / "report.md").read_text().splitlines()
+                if line.startswith("| 0")]
+        for row, lam in zip(rows, ("0", "0.5")):
+            net = load_checkpoint(tmp_path / "sweep" / f"lambda_{lam}" / "finetuned.ckpt")
+            assert row.endswith(f"| {cli.evaluate(net, cli.open_dataset(DATA)).metric:.4f} |")
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--sweep-lambda", "--lambdas", "0.1,abc"],
+        ["report", "--sweep-lambda", "--lambdas", "0.1,-1"],
+        ["report", "--sweep-lambda", "--lambdas", "0.1,nan"],
+        ["prune", "--lambda", "nan"],
+        ["saliency", "--lambda", "inf"],
+    ], ids=["sweep_not_a_number", "sweep_negative", "sweep_nan", "prune_nan", "saliency_inf"])
+    def test_bad_lambda_is_one_line_config_error(self, workdir, saliency_dir, tmp_path, argv):
+        inputs = {"report": ["--ckpt", workdir / "train" / "baseline.ckpt", "--data", DATA,
+                             "--epochs", "1"],
+                  "prune": ["--ckpt", workdir / "train" / "baseline.ckpt",
+                            "--saliency", saliency_dir / "saliency.csv"],
+                  "saliency": ["--ckpt", workdir / "train" / "baseline.ckpt", "--data", DATA]}
+        out = run_cli(*argv, *inputs[argv[0]], "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+        assert "lambda" in out.stderr
+        assert not any((tmp_path / "out").iterdir())  # no lambda_* directory, no artifact
+
     def test_report_without_dir_errors(self):
         with pytest.raises(SystemExit) as exc:
             main(["report"])

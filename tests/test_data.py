@@ -1,9 +1,11 @@
 """Tests for dataset generation, IDX parsing, and noisy-pair synthesis."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
+from helpers import write_idx
 
 from gfbs.data import (
     DatasetHandle,
@@ -89,20 +91,6 @@ class TestBatches:
             ds.capture_batch(m)
 
 
-def write_idx(tmp_path, images, labels):
-    imgs = np.asarray(images, dtype=np.uint8)
-    labs = np.asarray(labels, dtype=np.uint8)
-    ip = tmp_path / "imgs.idx"
-    lp = tmp_path / "labs.idx"
-    with open(ip, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x803, imgs.shape[0], imgs.shape[1], imgs.shape[2]))
-        fh.write(imgs.tobytes())
-    with open(lp, "wb") as fh:
-        fh.write(struct.pack(">II", 0x801, labs.shape[0]))
-        fh.write(labs.tobytes())
-    return ip, lp
-
-
 class TestIdx:
     def test_hand_built_file_exact_pixels(self, tmp_path):
         imgs = np.zeros((2, 4, 4), np.uint8)
@@ -137,6 +125,14 @@ class TestIdx:
         ip, lp = write_idx(tmp_path, np.zeros((2, 4, 4), np.uint8), [0, 1])
         ip.write_bytes(ip.read_bytes()[:-5])
         with pytest.raises(FormatError):
+            load_idx(ip, lp)
+
+    def test_header_declaring_more_than_the_file_holds(self, tmp_path):
+        # (2**32 - 1)**3 pixels: the size check must fire before any read
+        ip, lp = write_idx(tmp_path, np.zeros((2, 4, 4), np.uint8), [0, 1])
+        ip.write_bytes(struct.pack(">IIII", 0x803, *[2**32 - 1] * 3) + bytes(32))
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(ip))}: IDX header declares "
+                                              rf"{(2**32 - 1) ** 3} bytes, but only 32 remain$"):
             load_idx(ip, lp)
 
 

@@ -1,9 +1,12 @@
 """Seeded fuzz of every file reader: flipped, truncated and inserted bytes
-must come back as a GfbsError (or parse), never as any other exception."""
+must come back as a GfbsError (or parse), never as any other exception,
+and through the command line as exit 0, 2 or 4 with no traceback."""
 
 import numpy as np
 import pytest
+from helpers import run_cli, write_idx
 
+from gfbs.data import load_idx
 from gfbs.errors import GfbsError, open_text
 from gfbs.netgraph import build_network, load_checkpoint, parse_spec, save_checkpoint
 from gfbs.saliency import PruneConfig, read_saliency_csv, saliency_records, write_saliency_csv
@@ -22,6 +25,9 @@ flatten
 linear 3
 """
 MUTATIONS = 200
+SEED = 20240601
+IDX_IMAGES = np.random.default_rng(0).integers(0, 256, (12, 8, 8))
+IDX_LABELS = np.arange(12) % 3
 
 
 def mutate(raw: bytes, rng: np.random.Generator) -> bytes:
@@ -60,14 +66,27 @@ def metrics_file(path):
     return read_metrics
 
 
+def idx_images_file(path):
+    images, labels = write_idx(path.parent, IDX_IMAGES, IDX_LABELS)
+    images.rename(path)
+    return lambda p: load_idx(p, labels)
+
+
+def idx_labels_file(path):
+    images, labels = write_idx(path.parent, IDX_IMAGES, IDX_LABELS)
+    labels.rename(path)
+    return lambda p: load_idx(images, p)
+
+
 @pytest.mark.filterwarnings("ignore:scoring a network with factory-default")
-@pytest.mark.parametrize("make", [spec_file, checkpoint_file, saliency_file, metrics_file])
+@pytest.mark.parametrize("make", [spec_file, checkpoint_file, saliency_file, metrics_file,
+                                  idx_images_file, idx_labels_file])
 def test_mutated_bytes_raise_only_gfbs_errors(tmp_path, make):
     valid = tmp_path / "valid"
     read = make(valid)
     read(valid)  # the unmutated file parses
     raw = valid.read_bytes()
-    rng = np.random.default_rng(20240601)
+    rng = np.random.default_rng(SEED)
     mutated = tmp_path / "mutated"
     for i in range(MUTATIONS):
         data = mutate(raw, rng)
@@ -79,3 +98,49 @@ def test_mutated_bytes_raise_only_gfbs_errors(tmp_path, make):
         except Exception as exc:  # any other escape is a contract breach
             pytest.fail(f"mutation {i} ({len(data)} bytes) escaped as "
                         f"{type(exc).__name__}: {exc}")
+
+
+def prune_argv(tmp_path, mutated):
+    save_checkpoint(build_network(parse_spec(SPEC), seed=0), tmp_path / "net.ckpt")
+    return ["prune", "--ckpt", tmp_path / "net.ckpt", "--saliency", mutated,
+            "--out", tmp_path / "out"]
+
+
+def report_argv(tmp_path, mutated):
+    (tmp_path / "run").mkdir()
+    mutated.rename(tmp_path / "run" / "metrics.csv")
+    return ["report", "--dir", tmp_path / "run", "--out", tmp_path / "out"]
+
+
+def train_argv(tmp_path, mutated):
+    (tmp_path / "net.spec").write_text(SPEC)
+    return ["train", "--spec", tmp_path / "net.spec",
+            "--data", f"idx:images={mutated},labels={tmp_path / 'labs.idx'}",
+            "--epochs", "1", "--batch-size", "4", "--out", tmp_path / "out"]
+
+
+@pytest.mark.filterwarnings("ignore:scoring a network with factory-default")
+@pytest.mark.parametrize("make,argv", [(saliency_file, prune_argv), (metrics_file, report_argv),
+                                       (idx_images_file, train_argv)],
+                         ids=["saliency_csv", "metrics_csv", "idx_pair"])
+def test_mutated_file_through_the_cli(tmp_path, make, argv):
+    """The command that reads the file, given the first seeded mutation the
+    reader rejects, exits 0, 2 or 4, and prints one error line if not 0."""
+    valid = tmp_path / "valid"
+    read = make(valid)
+    raw = valid.read_bytes()
+    rng = np.random.default_rng(SEED)
+    mutated = tmp_path / "mutated"
+    for _ in range(MUTATIONS):
+        mutated.write_bytes(mutate(raw, rng))
+        try:
+            read(mutated)
+        except GfbsError:
+            break
+    else:
+        pytest.fail(f"no mutation of {make.__name__} was rejected")
+    out = run_cli(*argv(tmp_path, mutated))
+    assert out.returncode in (0, 2, 4), out.stderr
+    assert "Traceback" not in out.stderr
+    if out.returncode:
+        assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1

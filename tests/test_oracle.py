@@ -203,3 +203,14 @@ class TestOracleCsv:
                         ["0", "0", "1", "-0.5", "1"],
                         ["0", "1", "0", "0.25", "0"],
                         ["2", "1", "0", "0.25", "0"]]
+
+    def test_golden_bytes(self, tmp_path):
+        recs = [OracleRecord(group=1, members=(ChannelRef(2, 0), ChannelRef(0, 1)),
+                             delta_loss=1 / 7, rank=1),
+                OracleRecord(group=0, members=(ChannelRef(0, 0),), delta_loss=3.0, rank=0)]
+        p = tmp_path / "g.csv"
+        write_oracle_csv(recs, p)
+        assert p.read_bytes() == (b"layer,channel,group,delta_loss,rank\n"
+                                  b"0,0,0,3,0\n"
+                                  b"0,1,1,0.142857143,1\n"
+                                  b"2,0,1,0.142857143,1\n")

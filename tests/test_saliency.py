@@ -75,6 +75,7 @@ class TestPruneConfig:
     @pytest.mark.parametrize("kw", [
         {"lam": -0.1}, {"tau": 0.0}, {"tau": 1.0},
         {"criterion": "magnitude"}, {"min_keep": 0}, {"batch_size": 1},
+        {"lam": math.nan}, {"lam": math.inf},
     ])
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ConfigError):
@@ -275,6 +276,22 @@ class TestCsv:
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
         assert b"\r" not in p1.read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        # sorted by (layer, channel); floats in .9g, so 2/3 needs all nine
+        # digits, 2.0 is written "2" and 1234567890.0 goes to an exponent
+        recs = [SaliencyRecord(layer=2, channel=0, gamma=2.0, grad_gamma=-1.5e-10, beta=1 / 3,
+                               weight_l1=9.0, has_relu=False, group=-1, gamma_n=1.0,
+                               grad_gamma_n=-1.0, beta_n=1.0, score=1234567890.0, rank=1),
+                SaliencyRecord(layer=0, channel=1, gamma=0.123456789, grad_gamma=0.5,
+                               beta=-0.25, weight_l1=3.0, has_relu=True, group=3, gamma_n=0.6,
+                               grad_gamma_n=0.8, beta_n=-1.0, score=2 / 3, rank=0)]
+        p = tmp_path / "a.csv"
+        write_saliency_csv(recs, p)
+        assert p.read_bytes() == (
+            b"layer,channel,gamma,grad_gamma,beta,gamma_n,grad_gamma_n,beta_n,score,group,rank\n"
+            b"0,1,0.123456789,0.5,-0.25,0.6,0.8,-1,0.666666667,3,0\n"
+            b"2,0,2,-1.5e-10,0.333333333,1,-1,1,1.23456789e+09,-1,1\n")
 
     def test_header_checked(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -361,3 +361,34 @@ class TestPlanFile:
                   "removed", "kept_per_layer", "achieved_ratio", "flops_ratio")]
         assert order == sorted(order)
 
+    def test_golden_bytes(self, tmp_path):
+        # one of two channels kept: 418 of 834 FLOPs, a ratio written with all
+        # sixteen digits of its repr; lambda 1.0 keeps its ".0"
+        spec = parse_spec("name tiny\ninput 1 4 4\nconv_bn_relu 2 3 1 1\nflatten\nlinear 2\n")
+        plan = PrunePlan(base_spec=spec, kept_per_layer={0: (1,)}, shortfall=False, tau=0.5,
+                         min_keep=1, criterion="gfbs", lam=1.0)
+        p = tmp_path / "plan.json"
+        write_plan(plan, p)
+        assert p.read_bytes() == b"""{
+  "spec_name": "tiny",
+  "tau": 0.5,
+  "min_keep": 1,
+  "criterion": "gfbs",
+  "lambda": 1.0,
+  "removed": [
+    {
+      "layer": 0,
+      "channel": 0,
+      "group": 0
+    }
+  ],
+  "kept_per_layer": [
+    [
+      1
+    ]
+  ],
+  "achieved_ratio": 0.5,
+  "flops_ratio": 0.5011990407673861,
+  "shortfall": false
+}
+"""

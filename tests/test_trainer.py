@@ -230,6 +230,22 @@ class TestMetricsCsv:
         assert [(m.epoch, m.split) for m in loaded] == [(0, "train"), (0, "test")]
         assert loaded[0].loss == pytest.approx(2.30259)
 
+    def test_golden_bytes(self, tmp_path):
+        # seconds is not written; 2/3 takes nine digits, 1.0 is written "1"
+        hist = [Metrics(0, "train", 2 / 3, 1.0), Metrics(0, "test", 123.456789012, 0.0, 4.5)]
+        p = tmp_path / "m.csv"
+        write_metrics(hist, p)
+        assert p.read_bytes() == (b"epoch,split,loss,metric\n"
+                                  b"0,train,0.666666667,1\n"
+                                  b"0,test,123.456789,0\n")
+
+    def test_unclosed_quote_past_the_field_limit(self, tmp_path):
+        # the csv module's own error must come back as a format error
+        p = tmp_path / "m.csv"
+        p.write_text('epoch,split,loss,metric\n0,"' + "a" * 200_000 + "\n")
+        with pytest.raises(FormatError, match=r"m\.csv:\d+: field larger than field limit"):
+            read_metrics(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("a,b\n")
