@@ -110,22 +110,17 @@ def _train_config(args, data, finetune: bool) -> TrainConfig:
         value = getattr(args, field_name, None)
         if value is not None:
             overrides[field_name] = value
-    if overrides:
-        bad = set(overrides) - set(TrainConfig.__dataclass_fields__)
-        if bad:
-            raise ConfigError(f"unknown train config fields: {sorted(bad)}")
-        for field_name, value in overrides.items():
-            if not _field_type_ok(field_name, value):
-                raise ConfigError(f"train config field {field_name!r} has the wrong type: "
-                                  f"{value!r}")
-        merged = {**vars(cfg), **overrides}
-        milestones = tuple(merged["lr_milestones"])
-        if "lr_milestones" not in overrides:
-            # a shortened run keeps only the milestones it can still reach
-            milestones = tuple(m for m in milestones if m < merged["epochs"])
-        merged["lr_milestones"] = milestones
-        cfg = TrainConfig(**merged)
-    return cfg
+    bad = set(overrides) - set(TrainConfig.__dataclass_fields__)
+    if bad:
+        raise ConfigError(f"unknown train config fields: {sorted(bad)}")
+    merged = {**vars(cfg), **overrides}
+    if isinstance(merged["lr_milestones"], list):  # JSON has no tuples
+        merged["lr_milestones"] = tuple(merged["lr_milestones"])
+    if "lr_milestones" not in overrides and isinstance(merged["epochs"], int):
+        # a shortened run keeps only the preset milestones it can still reach;
+        # an epochs of another type is left for TrainConfig to refuse
+        merged["lr_milestones"] = tuple(m for m in cfg.lr_milestones if m < merged["epochs"])
+    return TrainConfig(**merged)
 
 
 def _read_json(path, error) -> dict:
@@ -149,19 +144,6 @@ def _malformed(path):
         yield
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed artifact: {type(exc).__name__} {exc}") from exc
-
-
-def _field_type_ok(name: str, value) -> bool:
-    def is_int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    if name in ("lr", "lr_decay", "momentum", "weight_decay"):
-        return is_int(value) or isinstance(value, float)
-    if name == "lr_milestones":
-        return isinstance(value, (list, tuple)) and all(is_int(m) for m in value)
-    if name in ("loss", "optimizer"):
-        return isinstance(value, str) or (name == "loss" and value is None)
-    return is_int(value)  # epochs, batch_size, seed, eval_every
 
 
 def _add_train_flags(sp) -> None:
@@ -313,11 +295,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = _outdir(args)
     if args.sweep_lambda:
-        return _sweep_lambda(args, out)
-
-    root = Path(args.dir) if args.dir else out
+        return _sweep_lambda(args, _outdir(args))
+    root = Path(args.dir)
+    if not root.is_dir():  # checked before the output directory is made
+        raise ConfigError(f"--dir {root}: not a directory")
+    out = _outdir(args)
     sections: list[str] = ["# Pruning run report", ""]
     for plan_path in sorted(root.glob("**/plan.json")):
         doc = _read_json(plan_path, FormatError)
@@ -419,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("saliency", help="score channels on a probe batch")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    sp.add_argument("--criterion", default="gfbs", choices=CRITERIA)
-    sp.add_argument("--batch-size", dest="batch_size", type=int, default=64)
+    sp.add_argument("--lambda", dest="lam", type=float, default=PruneConfig.lam)
+    sp.add_argument("--criterion", default=PruneConfig.criterion, choices=CRITERIA)
+    sp.add_argument("--batch-size", dest="batch_size", type=int, default=PruneConfig.batch_size)
     common(sp)
     sp.set_defaults(func=cmd_saliency)
 
@@ -429,17 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--saliency", help="saliency CSV to correlate against")
-    sp.add_argument("--batch-size", dest="batch_size", type=int, default=64)
+    sp.add_argument("--batch-size", dest="batch_size", type=int, default=PruneConfig.batch_size)
     common(sp, seeds="the channels the zero-equivalence spot check picks")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("prune", help="plan and apply surgery")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--saliency", required=True, help="saliency CSV")
-    sp.add_argument("--tau", type=float, default=0.5)
-    sp.add_argument("--min-keep", dest="min_keep", type=int, default=4)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    sp.add_argument("--criterion", default="gfbs", choices=CRITERIA)
+    sp.add_argument("--tau", type=float, default=PruneConfig.tau)
+    sp.add_argument("--min-keep", dest="min_keep", type=int, default=PruneConfig.min_keep)
+    sp.add_argument("--lambda", dest="lam", type=float, default=PruneConfig.lam)
+    sp.add_argument("--criterion", default=PruneConfig.criterion, choices=CRITERIA)
     common(sp)
     sp.set_defaults(func=cmd_prune)
 
@@ -463,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", help="dataset descriptor (sweep mode)")
     sp.add_argument("--lambdas", help="comma list, default 0,0.005,0.05,0.5")
     sp.add_argument("--tau", type=float, default=0.2)
-    sp.add_argument("--min-keep", dest="min_keep", type=int, default=4)
-    sp.add_argument("--probe-batch", dest="probe_batch", type=int, default=64,
+    sp.add_argument("--min-keep", dest="min_keep", type=int, default=PruneConfig.min_keep)
+    sp.add_argument("--probe-batch", dest="probe_batch", type=int, default=PruneConfig.batch_size,
                     help="batch size for the saliency capture")
     _add_train_flags(sp)
     common(sp)

@@ -55,10 +55,6 @@ class DatasetHandle:
             raise ConfigError("test images/targets length mismatch")
 
     @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self.x_train.shape[1:]
-
-    @property
     def task(self) -> str:
         return "denoise" if self.kind == "denoise_patches" else "classify"
 
@@ -195,6 +191,8 @@ def load_idx(images_path, labels_path, test_fraction: float = 0.1,
              seed: int = 0) -> DatasetHandle:
     """Big-endian IDX image/label pair, normalized to [0,1]; the tail
     ``test_fraction`` of a seeded permutation becomes the test split."""
+    if not 0.0 < test_fraction < 1.0:  # also false for NaN
+        raise ConfigError(f"test_fraction must lie strictly inside (0, 1), got {test_fraction}")
     images = _read_idx(images_path, IDX_MAGIC_IMAGES, 3)[:, None].astype(np.float32) / 255.0
     labels = _read_idx(labels_path, IDX_MAGIC_LABELS, 1).astype(np.int64)
     if len(images) != len(labels):
@@ -222,8 +220,8 @@ def make_noisy_pairs(clean: DatasetHandle, sigma: float, seed: int = 0) -> Datas
     Noise is added on the unit scale and NOT clipped; clipping would skew
     the noise statistics the denoiser is judged against.
     """
-    if sigma < 0:
-        raise ConfigError("noise level sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:  # also false for NaN
+        raise ConfigError(f"noise level sigma must be finite and >= 0, got {sigma}")
     scale = sigma / 255.0
 
     def noisy(images: np.ndarray, split_tag: int) -> np.ndarray:
@@ -244,61 +242,47 @@ def make_noisy_pairs(clean: DatasetHandle, sigma: float, seed: int = 0) -> Datas
 # descriptor strings (CLI entry point)
 
 
-def _parse_kv(body: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    if not body:
-        return out
-    for item in body.split(","):
-        if "=" not in item:
-            raise ConfigError(f"dataset descriptor needs key=value, got {item!r}")
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
-
-
-_DESCRIPTOR_KEYS = {
-    "shapes": ("n_train", "n_test", "size", "seed"),
-    "denoise": ("n_train", "n_test", "size", "sigma", "seed"),
-    "idx": ("images", "labels", "test_fraction", "seed"),
+# each descriptor kind's keys and defaults; a value is parsed as its
+# default's type, and a key whose default is None is required
+_DESCRIPTORS = {
+    "shapes": {"n_train": 512, "n_test": 128, "size": 16, "seed": 0},
+    "denoise": {"n_train": 256, "n_test": 64, "size": 12, "sigma": 50.0, "seed": 0},
+    "idx": {"images": None, "labels": None, "test_fraction": 0.1, "seed": 0},
 }
 
 
 def open_dataset(descriptor: str) -> DatasetHandle:
-    """Build a handle from a one-line descriptor.
-
-    Forms: ``shapes:n_train=512,n_test=128,size=16,seed=0``,
-    ``denoise:n_train=256,n_test=64,size=12,sigma=50,seed=0`` (shape
-    images re-used as clean patches), and ``idx:images=PATH,labels=PATH``
-    (optionally ``test_fraction`` and ``seed``). Any other key is a
-    ConfigError.
-    """
+    """Build a handle from a one-line ``kind:key=value,...`` descriptor:
+    ``shapes``, ``denoise`` (shape images re-used as clean patches) or
+    ``idx``, with the keys ``_DESCRIPTORS`` declares. Any other key is a
+    ConfigError."""
     head, _, body = descriptor.partition(":")
-    if head not in _DESCRIPTOR_KEYS:
+    if head not in _DESCRIPTORS:
         raise ConfigError(f"unknown dataset kind {head!r}")
-    kv = _parse_kv(body)
-    unknown = sorted(set(kv) - set(_DESCRIPTOR_KEYS[head]))
+    keys = _DESCRIPTORS[head]
+    kv: dict[str, str] = {}
+    for item in body.split(",") if body else ():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ConfigError(f"dataset descriptor needs key=value, got {item!r}")
+        kv[key.strip()] = value.strip()
+    unknown = sorted(set(kv) - set(keys))
     if unknown:
         raise ConfigError(f"{head} descriptor has unknown keys {unknown}; "
-                          f"it takes {', '.join(_DESCRIPTOR_KEYS[head])}")
+                          f"it takes {', '.join(keys)}")
+    missing = [k for k, default in keys.items() if default is None and k not in kv]
+    if missing:
+        raise ConfigError(f"{head} descriptor needs {' and '.join(k + '=' for k in missing)}")
     try:
-        if head == "shapes":
-            return gen_shapes_dataset(
-                n_train=int(kv.get("n_train", 512)),
-                n_test=int(kv.get("n_test", 128)),
-                image_size=int(kv.get("size", 16)),
-                seed=int(kv.get("seed", 0)))
+        opts = {k: kv[k] if default is None else type(default)(kv.get(k, default))
+                for k, default in keys.items()}
+        if head == "idx":
+            return load_idx(opts["images"], opts["labels"], test_fraction=opts["test_fraction"],
+                            seed=opts["seed"])
+        clean = gen_shapes_dataset(n_train=opts["n_train"], n_test=opts["n_test"],
+                                   image_size=opts["size"], seed=opts["seed"])
         if head == "denoise":
-            clean = gen_shapes_dataset(
-                n_train=int(kv.get("n_train", 256)),
-                n_test=int(kv.get("n_test", 64)),
-                image_size=int(kv.get("size", 12)),
-                seed=int(kv.get("seed", 0)))
-            return make_noisy_pairs(clean, sigma=float(kv.get("sigma", 50)),
-                                    seed=int(kv.get("seed", 0)))
-        if "images" not in kv or "labels" not in kv:
-            raise ConfigError("idx descriptor needs images= and labels= paths")
-        return load_idx(kv["images"], kv["labels"],
-                        test_fraction=float(kv.get("test_fraction", 0.1)),
-                        seed=int(kv.get("seed", 0)))
+            return make_noisy_pairs(clean, sigma=opts["sigma"], seed=opts["seed"])
+        return clean
     except ValueError as exc:
         raise ConfigError(f"bad value in dataset descriptor: {exc}") from exc

@@ -302,9 +302,6 @@ class Network:
         """Indices of blocks carrying batch-norm parameters."""
         return [i for i, b in enumerate(self.spec.blocks) if b.kind in BN_KINDS]
 
-    def count_params(self) -> int:
-        return sum(t.size for t in self.parameters())
-
 
 def _layout(node: Node) -> tuple[type | None, dict[str, tuple]]:
     """The parameter class of one block and its tensor name -> shape map,
@@ -367,10 +364,8 @@ def build_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network
 
 def forward_full(net: Network, batch: Tensor, mode: str, tape: Tape | None = None,
                  trace: dict | None = None, update_stats: bool = True) -> Tensor:
-    """Run the whole network. ``trace``, when given, collects per-block
-    intermediate tensors: pre-norm conv outputs under "pre_bn" and block
-    outputs under "out" (so their ``grad`` fields can be inspected after
-    a backward pass)."""
+    """Run the whole network. ``trace``, when given, collects each conv-kind
+    block's pre-norm output as ``trace[i]["pre_bn"]``."""
     if batch.data.ndim != 4 or batch.shape[1:] != net.spec.input_shape:
         raise ConfigError(
             f"batch shape {batch.shape} does not match input {net.spec.input_shape}")
@@ -387,15 +382,13 @@ def forward_full(net: Network, batch: Tensor, mode: str, tape: Tape | None = Non
                 if b.kind == "conv_bn_relu":
                     x = relu(x, tape=tape)
             if trace is not None:
-                trace[i] = {"pre_bn": pre, "out": x}
+                trace[i] = {"pre_bn": pre}
         elif b.kind == "pool":
             x = maxpool2d(x, b.kernel, b.stride, tape=tape)
         elif b.kind == "residual_begin":
             stack.append(x)
         elif b.kind == "residual_add":
             x = add(stack.pop(), x, tape=tape)
-            if trace is not None:
-                trace[i] = {"out": x}
         elif b.kind == "flatten":
             x = flatten(x, tape=tape)
         elif b.kind == "linear":

@@ -33,7 +33,7 @@ CSV_HEADER = ["layer", "channel", "gamma", "grad_gamma", "beta",
               "gamma_n", "grad_gamma_n", "beta_n", "score", "group", "rank"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PruneConfig:
     """Knobs shared by scoring and planning; field names match CLI flags."""
 
@@ -161,8 +161,6 @@ def normalize_layerwise(records: list[SaliencyRecord],
 
 def score(records: list[SaliencyRecord], cfg: PruneConfig) -> list[SaliencyRecord]:
     """Fill score and global ascending rank (ties broken by layer, channel)."""
-    if cfg.criterion not in CRITERIA:
-        raise ConfigError(f"unknown criterion {cfg.criterion!r}")
     for r in records:
         taylor = abs(r.grad_gamma_n * r.gamma_n)
         if cfg.criterion == "gfbs":

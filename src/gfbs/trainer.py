@@ -41,18 +41,34 @@ class TrainConfig:
     optimizer: str = "sgd"
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.lr < 0 or self.lr_decay <= 0:
-            raise ConfigError("lr must be >= 0 and lr_decay > 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError("optimizer must be sgd or adam")
-        if list(self.lr_milestones) != sorted(set(self.lr_milestones)):
-            raise ConfigError("lr_milestones must be strictly increasing")
-        if self.lr_milestones and self.lr_milestones[-1] >= self.epochs:
-            raise ConfigError("lr_milestones must be < epochs")
-        if self.loss is not None and self.loss not in ("cross_entropy", "mse"):
-            raise ConfigError("loss must be cross_entropy or mse")
+        """Every field's type and range; a --config file can set any field."""
+        for name in ("epochs", "batch_size", "eval_every"):
+            value = getattr(self, name)
+            _require(_is_int(value) and value >= 1, name, value, "an integer >= 1")
+        _require(_is_int(self.seed), "seed", self.seed, "an integer")
+        for name in ("lr", "lr_decay", "momentum", "weight_decay"):
+            value = getattr(self, name)
+            _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+                     and 0 <= value < math.inf, name, value, "a finite number >= 0")
+        _require(self.lr_decay > 0, "lr_decay", self.lr_decay, "> 0")
+        ms = self.lr_milestones
+        _require(isinstance(ms, tuple) and all(_is_int(m) for m in ms),
+                 "lr_milestones", ms, "a tuple of integers")
+        _require(list(ms) == sorted(set(ms)), "lr_milestones", ms, "strictly increasing")
+        _require(not ms or ms[-1] < self.epochs, "lr_milestones", ms,
+                 f"< epochs ({self.epochs})")
+        _require(self.optimizer in ("sgd", "adam"), "optimizer", self.optimizer, "sgd or adam")
+        _require(self.loss in (None, "cross_entropy", "mse"), "loss", self.loss,
+                 "cross_entropy, mse or null")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require(ok: bool, name: str, value, want: str) -> None:
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -177,12 +193,12 @@ def finetune(net: Network, data: DatasetHandle, cfg: TrainConfig,
     return train(net, data, cfg, ckpt_path=ckpt_path)
 
 
-def evaluate(net: Network, data: DatasetHandle, batch_size: int = 256) -> Metrics:
+def evaluate(net: Network, data: DatasetHandle) -> Metrics:
     """Eval-mode metrics over the test split (norm uses running stats)."""
     losses: list[float] = []
     weights: list[int] = []
     per_sample: list[float] = []
-    for xb, yb in data.test_batches(batch_size):
+    for xb, yb in data.test_batches(256):  # bounds memory only: means weigh by batch size
         out = forward_full(net, Tensor(xb, dtype=net.dtype), "eval")
         losses.append(loss_op(out, yb, data.loss_kind).item())
         weights.append(len(xb))

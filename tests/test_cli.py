@@ -6,16 +6,20 @@ subcommands run against it in throwaway directories.
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import run_cli, write_ckpt
+from helpers import run_cli, write_ckpt, write_idx
 
 from gfbs import cli
 from gfbs.cli import main
+from gfbs.data import _DESCRIPTORS
 from gfbs.netgraph import load_checkpoint
 from gfbs.saliency import CSV_HEADER
 from gfbs.surgeon import plan_prune
+from gfbs.trainer import TrainConfig
 
 DATA = "shapes:n_train=192,n_test=48,size=12,seed=3"
 SPEC_TEXT = """\
@@ -273,6 +277,12 @@ class TestReportCommand:
         assert "lambda" in out.stderr
         assert not any((tmp_path / "out").iterdir())  # no lambda_* directory, no artifact
 
+    def test_report_dir_that_is_not_a_directory(self, tmp_path):
+        out = run_cli("report", "--dir", tmp_path / "missing", "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+        assert "not a directory" in out.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_report_without_dir_errors(self):
         with pytest.raises(SystemExit) as exc:
             main(["report"])
@@ -323,6 +333,10 @@ class TestExitCodes:
         '[{"epochs": 2}]',  # not an object
         '{"epochs": "2"}',  # wrong field type
         '{"lr_milestones": 3}',
+        '{"weight_decay": NaN}',
+        '{"lr_decay": Infinity, "lr_milestones": [1]}',
+        '{"momentum": -5}',
+        '{"eval_every": 0}',
     ])
     def test_bad_config_file_is_one_line_config_error(self, workdir, tmp_path, text):
         cfg = tmp_path / "cfg.json"
@@ -330,6 +344,20 @@ class TestExitCodes:
         out = run_cli("train", "--spec", workdir / "net.spec", "--data", DATA,
                       "--config", cfg, "--out", tmp_path / "out")
         assert_one_line_error(out, 2)
+        assert not (tmp_path / "out" / "baseline.ckpt").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--data", DATA, "--lr", "nan"],
+        ["--data", "denoise:n_train=16,n_test=4,size=12,sigma=nan"],
+        ["--data", "idx:images={dir}/imgs.idx,labels={dir}/labs.idx,test_fraction=0"],
+        ["--data", "idx:images={dir}/imgs.idx,labels={dir}/labs.idx,test_fraction=-1"],
+    ], ids=["lr_nan", "sigma_nan", "test_fraction_0", "test_fraction_negative"])
+    def test_bad_setting_is_one_line_config_error(self, workdir, tmp_path, flags):
+        write_idx(tmp_path, np.zeros((20, 12, 12)), np.arange(20) % 10)
+        out = run_cli("train", "--spec", workdir / "net.spec", "--epochs", "1",
+                      *(f.format(dir=tmp_path) for f in flags), "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+        assert not (tmp_path / "out" / "baseline.ckpt").exists()
 
     def test_non_utf8_spec_is_format_error(self, tmp_path):
         spec = tmp_path / "latin1.spec"
@@ -419,3 +447,21 @@ def test_help_omits_deleted_flags(command, capsys):
     text = capsys.readouterr().out
     assert "--preset" not in text
     assert ("--seed" in text) == (command != "eval")
+
+
+def formats_section(title):
+    text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_formats_doc_lists_every_setting():
+    """docs/formats.md names exactly TrainConfig's fields and each
+    descriptor kind's keys, with the defaults open_dataset applies."""
+    fields = re.findall(r"^\| `(\w+)` \|", formats_section("Training config (`--config`)"),
+                        re.MULTILINE)
+    assert fields == [f.name for f in dataclasses.fields(TrainConfig)]
+    shown = {kind: dict(re.findall(r"`(\w+)(?:=([^`]*))?`", keys))
+             for kind, keys in re.findall(r"^- `(\w+):` (.*)$",
+                                          formats_section("Dataset descriptors"), re.MULTILINE)}
+    assert shown == {kind: {k: "" if d is None else f"{d:g}" for k, d in keys.items()}
+                     for kind, keys in _DESCRIPTORS.items()}

@@ -1,5 +1,6 @@
 """Tests for dataset generation, IDX parsing, and noisy-pair synthesis."""
 
+import math
 import re
 import struct
 
@@ -38,7 +39,7 @@ class TestShapes:
         ds = gen_shapes_dataset(30, 10, seed=3)
         assert ds.x_train.min() >= 0.0 and ds.x_train.max() <= 1.0
         assert ds.x_train.dtype == np.float32
-        assert ds.sample_shape == (1, 16, 16)
+        assert ds.x_train.shape[1:] == (1, 16, 16)
 
     def test_train_test_splits_differ(self):
         ds = gen_shapes_dataset(10, 10, seed=4)
@@ -127,6 +128,12 @@ class TestIdx:
         with pytest.raises(FormatError):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize("fraction", [0.0, -1.0, 1.0, math.nan])
+    def test_test_fraction_outside_the_open_unit_interval(self, tmp_path, fraction):
+        ip, lp = write_idx(tmp_path, np.zeros((20, 4, 4), np.uint8), np.arange(20) % 3)
+        with pytest.raises(ConfigError, match=f"test_fraction .* got {fraction}$"):
+            load_idx(ip, lp, test_fraction=fraction)
+
     def test_header_declaring_more_than_the_file_holds(self, tmp_path):
         # (2**32 - 1)**3 pixels: the size check must fire before any read
         ip, lp = write_idx(tmp_path, np.zeros((2, 4, 4), np.uint8), [0, 1])
@@ -161,6 +168,12 @@ class TestNoisyPairs:
         with pytest.raises(ConfigError):
             make_noisy_pairs(clean, sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        clean = gen_shapes_dataset(5, 5, seed=1)
+        with pytest.raises(ConfigError, match=f"sigma must be finite and >= 0, got {sigma}"):
+            make_noisy_pairs(clean, sigma=sigma)
+
     def test_task_flag(self):
         clean = gen_shapes_dataset(5, 5, seed=1)
         assert clean.task == "classify"
@@ -171,18 +184,18 @@ class TestDescriptors:
     def test_shapes_descriptor(self):
         ds = open_dataset("shapes:n_train=30,n_test=10,size=12,seed=4")
         assert ds.kind == "synthetic_shapes"
-        assert ds.sample_shape == (1, 12, 12)
+        assert ds.x_train.shape[1:] == (1, 12, 12)
         assert len(ds.x_train) == 30
 
     def test_denoise_descriptor(self):
         ds = open_dataset("denoise:n_train=20,n_test=5,size=12,sigma=50,seed=1")
         assert ds.kind == "denoise_patches"
         assert ds.sigma == 50
-        assert ds.sample_shape == (1, 12, 12)
+        assert ds.x_train.shape[1:] == (1, 12, 12)
 
     def test_denoise_size_key(self):
         ds = open_dataset("denoise:n_train=8,n_test=4,size=16")
-        assert ds.sample_shape == (1, 16, 16)
+        assert ds.x_train.shape[1:] == (1, 16, 16)
 
     @pytest.mark.parametrize("descriptor", [
         "shapes:n_trian=8", "denoise:patch=12", "idx:images=a,labels=b,sigma=5"])

@@ -2,14 +2,18 @@
 must come back as a GfbsError (or parse), never as any other exception,
 and through the command line as exit 0, 2 or 4 with no traceback."""
 
+import shutil
+
 import numpy as np
 import pytest
 from helpers import run_cli, write_idx
 
+from gfbs import cli
 from gfbs.data import load_idx
-from gfbs.errors import GfbsError, open_text
+from gfbs.errors import FormatError, GfbsError, open_text
 from gfbs.netgraph import build_network, load_checkpoint, parse_spec, save_checkpoint
 from gfbs.saliency import PruneConfig, read_saliency_csv, saliency_records, write_saliency_csv
+from gfbs.surgeon import plan_prune, write_plan
 from gfbs.trainer import Metrics, read_metrics, write_metrics
 
 SPEC = """\
@@ -52,11 +56,15 @@ def checkpoint_file(path):
     return load_checkpoint
 
 
-def saliency_file(path):
+def scored_net():
     net = build_network(parse_spec(SPEC), seed=0)
     x = np.random.default_rng(0).standard_normal((4, 1, 8, 8)).astype(np.float32)
-    write_saliency_csv(saliency_records(net, x, np.arange(4) % 3, "cross_entropy",
-                                        PruneConfig()), path)
+    return net, saliency_records(net, x, np.arange(4) % 3, "cross_entropy", PruneConfig())
+
+
+def saliency_file(path):
+    net, records = scored_net()
+    write_saliency_csv(records, path)
     return lambda p: read_saliency_csv(p, net.spec)
 
 
@@ -78,9 +86,45 @@ def idx_labels_file(path):
     return lambda p: load_idx(images, p)
 
 
+def report_reads(name):
+    """``report --dir`` run in-process over a directory holding the file as
+    ``name``: exit 4 is raised as a FormatError, and any exit but 0 or 4
+    fails the test."""
+    def read(path):
+        run = path.parent / "report_input"
+        run.mkdir(exist_ok=True)
+        shutil.copyfile(path, run / name)
+        code = cli.main(["report", "--dir", str(run), "--out", str(path.parent / "report")])
+        if code == 4:
+            raise FormatError(f"report --dir exited 4 on {name}")
+        assert code == 0, f"report --dir exited {code} on {name}"
+    return read
+
+
+def plan_file(path):
+    net, records = scored_net()
+    write_plan(plan_prune(net, records, PruneConfig(tau=0.3, min_keep=1)), path)
+    return report_reads("plan.json")
+
+
+def summary_file(path):
+    """summary.json of an oracle run correlated against a saliency CSV."""
+    root, data = path.parent, "shapes:n_train=16,n_test=4,size=8"
+    ckpt = root / "net10.ckpt"
+    save_checkpoint(build_network(parse_spec(SPEC.replace("linear 3", "linear 10")), seed=0),
+                    ckpt)
+    assert cli.main(["saliency", "--ckpt", str(ckpt), "--data", data, "--batch-size", "8",
+                     "--out", str(root / "sal")]) == 0
+    assert cli.main(["oracle", "--ckpt", str(ckpt), "--data", data, "--batch-size", "8",
+                     "--saliency", str(root / "sal" / "saliency.csv"),
+                     "--out", str(root / "oracle")]) == 0
+    (root / "oracle" / "summary.json").rename(path)
+    return report_reads("summary.json")
+
+
 @pytest.mark.filterwarnings("ignore:scoring a network with factory-default")
 @pytest.mark.parametrize("make", [spec_file, checkpoint_file, saliency_file, metrics_file,
-                                  idx_images_file, idx_labels_file])
+                                  idx_images_file, idx_labels_file, plan_file, summary_file])
 def test_mutated_bytes_raise_only_gfbs_errors(tmp_path, make):
     valid = tmp_path / "valid"
     read = make(valid)
@@ -106,10 +150,12 @@ def prune_argv(tmp_path, mutated):
             "--out", tmp_path / "out"]
 
 
-def report_argv(tmp_path, mutated):
-    (tmp_path / "run").mkdir()
-    mutated.rename(tmp_path / "run" / "metrics.csv")
-    return ["report", "--dir", tmp_path / "run", "--out", tmp_path / "out"]
+def report_argv(name):
+    def argv(tmp_path, mutated):
+        (tmp_path / "run").mkdir()
+        mutated.rename(tmp_path / "run" / name)
+        return ["report", "--dir", tmp_path / "run", "--out", tmp_path / "out"]
+    return argv
 
 
 def train_argv(tmp_path, mutated):
@@ -120,9 +166,13 @@ def train_argv(tmp_path, mutated):
 
 
 @pytest.mark.filterwarnings("ignore:scoring a network with factory-default")
-@pytest.mark.parametrize("make,argv", [(saliency_file, prune_argv), (metrics_file, report_argv),
-                                       (idx_images_file, train_argv)],
-                         ids=["saliency_csv", "metrics_csv", "idx_pair"])
+@pytest.mark.parametrize("make,argv", [(saliency_file, prune_argv),
+                                       (metrics_file, report_argv("metrics.csv")),
+                                       (idx_images_file, train_argv),
+                                       (plan_file, report_argv("plan.json")),
+                                       (summary_file, report_argv("summary.json"))],
+                         ids=["saliency_csv", "metrics_csv", "idx_pair", "plan_json",
+                              "summary_json"])
 def test_mutated_file_through_the_cli(tmp_path, make, argv):
     """The command that reads the file, given the first seeded mutation the
     reader rejects, exits 0, 2 or 4, and prints one error line if not 0."""

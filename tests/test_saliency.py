@@ -1,5 +1,6 @@
 """Tests for probe capture, layer normalization, and channel scoring."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,11 @@ class TestPruneConfig:
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ConfigError):
             PruneConfig(**kw)
+
+    def test_frozen(self):
+        cfg = PruneConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.criterion = "magnitude"
 
 
 class TestCapture:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from gfbs.autograd import Tensor
+from gfbs.autograd import Tensor, loss as loss_op
 from gfbs.data import gen_shapes_dataset, make_noisy_pairs
 from gfbs.errors import ConfigError, FormatError, NumericError
-from gfbs.netgraph import build_network, parse_spec
+from gfbs.netgraph import build_network, forward_full, parse_spec
 from gfbs.trainer import (
     Adam,
     Metrics,
@@ -54,6 +54,17 @@ class TestTrainConfig:
     def test_bad_loss_kind(self):
         with pytest.raises(ConfigError):
             TrainConfig(loss="hinge")
+
+    @pytest.mark.parametrize("kw", [
+        {"epochs": 2.0}, {"epochs": True}, {"batch_size": "32"}, {"seed": None},
+        {"eval_every": 0}, {"lr": math.nan}, {"lr": -1e-3}, {"lr": False},
+        {"lr_decay": 0.0}, {"lr_decay": math.inf}, {"momentum": -5},
+        {"weight_decay": math.nan}, {"lr_milestones": [1]}, {"lr_milestones": (1.0,)},
+        {"lr_milestones": (True,)}, {"optimizer": "rmsprop"}, {"loss": ["mse"]},
+    ], ids=repr)
+    def test_rejects_bad_type_or_range(self, kw):
+        with pytest.raises(ConfigError, match=f"^{next(iter(kw))} must be "):
+            TrainConfig(**kw)
 
 
 class TestAdam:
@@ -170,11 +181,14 @@ class TestEvaluate:
         assert 0.0 <= m.metric <= 0.35  # 10 balanced classes, wide slack
 
     def test_batch_size_invariant(self):
-        net, data = small_setup(seed=2, n_test=50)
-        a = evaluate(net, data, batch_size=7)
-        b = evaluate(net, data, batch_size=50)
-        assert a.metric == pytest.approx(b.metric, abs=1e-12)
-        assert a.loss == pytest.approx(b.loss, rel=1e-6)
+        # 300 test samples take two eval batches; one forward over all must agree
+        net, data = small_setup(seed=2, n_test=300)
+        m = evaluate(net, data)
+        out = forward_full(net, Tensor(data.x_test, dtype=net.dtype), "eval")
+        assert m.metric == pytest.approx(np.mean(out.data.argmax(axis=1) == data.y_test),
+                                         abs=1e-12)
+        assert m.loss == pytest.approx(loss_op(out, data.y_test, "cross_entropy").item(),
+                                       rel=1e-6)
 
 
 class TestPsnr:
