@@ -446,18 +446,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, tape: Tape | None = None) ->
     return out
 
 
-def reduce_sum(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Sum of all elements as a scalar tensor."""
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype))
-    if tape is not None:
-
-        def bwd(gout: np.ndarray) -> None:
-            _accum(x, np.broadcast_to(gout, x.shape).astype(x.dtype))
-
-        tape.record("reduce_sum", [x], out, bwd)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # losses
 

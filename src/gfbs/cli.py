@@ -79,9 +79,8 @@ def _git_describe() -> str:
 
 
 def _outdir(args) -> Path:
-    out = Path(args.out) if args.out else Path("runs") / _timestamp()
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """--out or runs/<timestamp>, made by the caller once every input passed."""
+    return Path(args.out) if args.out else Path("runs") / _timestamp()
 
 
 def _write_manifest(out: Path, command: str, args, extra: dict | None = None) -> None:
@@ -120,7 +119,11 @@ def _train_config(args, data, finetune: bool) -> TrainConfig:
         # a shortened run keeps only the preset milestones it can still reach;
         # an epochs of another type is left for TrainConfig to refuse
         merged["lr_milestones"] = tuple(m for m in cfg.lr_milestones if m < merged["epochs"])
-    return TrainConfig(**merged)
+    cfg = TrainConfig(**merged)
+    if min(cfg.batch_size, len(data.x_train)) < 2:  # a train-mode norm needs 2 samples
+        raise ConfigError(f"no batch can reach 2 samples: batch_size {cfg.batch_size}, "
+                          f"{len(data.x_train)} training samples")
+    return cfg
 
 
 def _read_json(path, error) -> dict:
@@ -157,11 +160,14 @@ def _add_train_flags(sp) -> None:
 # subcommands
 
 
-def _fit(args, out: Path, net, data, finetune: bool) -> int:
+def _fit(args, net, data, finetune: bool) -> int:
     """Train or finetune ``net`` with the task's preset: the best checkpoint,
     metrics.csv, one printed line and the manifest."""
     fit = run_finetune if finetune else run_train
-    history = fit(net, data, _train_config(args, data, finetune),
+    cfg = _train_config(args, data, finetune)
+    out = _outdir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    history = fit(net, data, cfg,
                   ckpt_path=out / ("finetuned.ckpt" if finetune else "baseline.ckpt"))
     write_metrics(history, out / "metrics.csv")
     final = history[-1]  # train ends with a test pass over the final weights
@@ -172,22 +178,21 @@ def _fit(args, out: Path, net, data, finetune: bool) -> int:
 
 
 def cmd_train(args) -> int:
-    out = _outdir(args)
     with open_text(args.spec) as fh:
         spec = parse_spec(fh.read())
     data = open_dataset(args.data)
-    return _fit(args, out, build_network(spec, seed=args.seed), data, False)
+    return _fit(args, build_network(spec, seed=args.seed), data, False)
 
 
 def cmd_saliency(args) -> int:
-    out = _outdir(args)
     net = load_checkpoint(args.ckpt)
     data = open_dataset(args.data)
     cfg = PruneConfig(lam=args.lam, criterion=args.criterion, batch_size=args.batch_size)
     x, y = data.capture_batch(cfg.batch_size)
     records = saliency_records(net, x, y, data.loss_kind, cfg)
+    out = _outdir(args)
+    out.mkdir(parents=True, exist_ok=True)
     write_saliency_csv(records, out / "saliency.csv")
-    # the CSV drops the filter-norm fields; keep a lossless copy as well
     write_json(out / "records.json", [dataclasses.asdict(r) for r in records])
     prunable = sum(1 for r in records if r.group >= 0)
     print(f"scored {len(records)} channels ({prunable} prunable) "
@@ -197,7 +202,6 @@ def cmd_saliency(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    out = _outdir(args)
     net = load_checkpoint(args.ckpt)
     data = open_dataset(args.data)
     # a bad CSV fails before the probes; oracle records follow spec.groups
@@ -205,6 +209,8 @@ def cmd_oracle(args) -> int:
         if args.saliency else None
     x, y = data.capture_batch(args.batch_size)
     records = oracle_delta_loss(net, x, y, data.loss_kind)
+    out = _outdir(args)
+    out.mkdir(parents=True, exist_ok=True)
     write_oracle_csv(records, out / "oracle.csv")
     summary: dict = {"groups": len(records)}
 
@@ -231,17 +237,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    out = _outdir(args)
     net = load_checkpoint(args.ckpt)
-    records = read_saliency_csv(args.saliency, net.spec)
     cfg = PruneConfig(lam=args.lam, tau=args.tau, criterion=args.criterion,
                       min_keep=args.min_keep)
-    # the CSV lacks the filter norms: take them from the checkpoint, then rank
-    # by the flags' criterion and lambda, so plan.json names what was used
-    l1 = {i: np.abs(net.params[i].weight.data).sum(axis=(1, 2, 3)) for i in net.bn_blocks()}
-    for r in records:
-        r.weight_l1 = float(l1[r.layer][r.channel])
-    records = score(normalize_layerwise(records, ("weight_l1",)), cfg)
+    # rank by the flags' criterion and lambda, so plan.json names what was used
+    records = score(read_saliency_csv(args.saliency, net.spec), cfg)
+    out = _outdir(args)
     plan, pruned = _prune(net, records, cfg, out)
     save_checkpoint(pruned, out / "pruned.ckpt")
     note = " (shortfall: budget unreachable)" if plan.shortfall else ""
@@ -254,12 +255,13 @@ def cmd_prune(args) -> int:
 
 
 def _prune(net, records, cfg: PruneConfig, out: Path):
-    """Plan, check and apply one prune; writes plan.json and flops.txt."""
+    """Plan, check and apply one prune, then make ``out`` for plan.json and flops.txt."""
     plan = plan_prune(net, records, cfg)
     report = validate_plan(net, plan)
     if not report.ok:
         raise ConfigError("plan failed validation: " + "; ".join(report.violations))
     pruned = apply_prune(net, plan)
+    out.mkdir(parents=True, exist_ok=True)
     write_plan(plan, out / "plan.json")
     lines = [f"baseline total {count_flops(net.spec).total}",
              f"pruned   total {count_flops(pruned.spec).total}",
@@ -271,9 +273,8 @@ def _prune(net, records, cfg: PruneConfig, out: Path):
 
 
 def cmd_finetune(args) -> int:
-    out = _outdir(args)
     net = load_checkpoint(args.ckpt)
-    return _fit(args, out, net, open_dataset(args.data), True)
+    return _fit(args, net, open_dataset(args.data), True)
 
 
 def cmd_eval(args) -> int:
@@ -284,6 +285,7 @@ def cmd_eval(args) -> int:
     print(f"eval: loss {m.loss:.6f} {metric_name} {m.metric:.4f}")
     if args.out:
         out = _outdir(args)
+        out.mkdir(parents=True, exist_ok=True)
         write_json(out / "eval.json",
                    {"loss": m.loss, "metric": m.metric, "metric_name": metric_name})
         _write_manifest(out, "eval", args, {"metric": m.metric})
@@ -298,9 +300,8 @@ def cmd_report(args) -> int:
     if args.sweep_lambda:
         return _sweep_lambda(args, _outdir(args))
     root = Path(args.dir)
-    if not root.is_dir():  # checked before the output directory is made
+    if not root.is_dir():
         raise ConfigError(f"--dir {root}: not a directory")
-    out = _outdir(args)
     sections: list[str] = ["# Pruning run report", ""]
     for plan_path in sorted(root.glob("**/plan.json")):
         doc = _read_json(plan_path, FormatError)
@@ -333,6 +334,8 @@ def cmd_report(args) -> int:
                     f"Spearman rho {doc['spearman']:.3f}; bottom-20% overlap "
                     f"{doc['bottom20_overlap']}/{doc['bottom20_size']} "
                     f"(random {doc['bottom20_random_expectation']:.2f})", ""]
+    out = _outdir(args)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.md").write_text("\n".join(sections) + "\n")
     print(f"report written to {out / 'report.md'}")
     _write_manifest(out, "report", args)
@@ -341,7 +344,7 @@ def cmd_report(args) -> int:
 
 def _sweep_lambda(args, out: Path) -> int:
     """Score/prune/finetune/eval once per lambda with a shared budget."""
-    try:  # every lambda is checked before the probe runs or a directory is made
+    try:
         cfgs = [PruneConfig(lam=float(lam), tau=args.tau, min_keep=args.min_keep,
                             batch_size=args.probe_batch)
                 for lam in (args.lambdas.split(",") if args.lambdas else DEFAULT_LAMBDAS)]
@@ -355,11 +358,10 @@ def _sweep_lambda(args, out: Path) -> int:
     captured = normalize_layerwise(capture(net, x, y, data.loss_kind))
     rows = []
     for cfg in cfgs:
-        sub = out / f"lambda_{cfg.lam:g}"
-        sub.mkdir(parents=True, exist_ok=True)
+        sub = out / f"lambda_{cfg.lam:g}"  # _prune makes it, and out with it
         records = score([dataclasses.replace(r) for r in captured], cfg)
-        write_saliency_csv(records, sub / "saliency.csv")
         plan, pruned = _prune(net, records, cfg, sub)
+        write_saliency_csv(records, sub / "saliency.csv")
         metric = run_finetune(pruned, data, ft_cfg)[-1].metric  # the final test pass
         save_checkpoint(pruned, sub / "finetuned.ckpt")
         rows.append((cfg.lam, plan.achieved_ratio, plan.flops_ratio, metric))

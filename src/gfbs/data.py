@@ -200,7 +200,7 @@ def load_idx(images_path, labels_path, test_fraction: float = 0.1,
             f"IDX count mismatch: {len(images)} images vs {len(labels)} labels")
     if len(images) == 0:
         raise FormatError("IDX files contain no samples")
-    n_test = max(1, int(round(len(images) * test_fraction))) if len(images) > 1 else 0
+    n_test = max(1, int(round(len(images) * test_fraction)))
     order = _rng(seed, _SHUFFLE).permutation(len(images))
     test_idx, train_idx = order[:n_test], order[n_test:]
     if len(train_idx) == 0:

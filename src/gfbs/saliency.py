@@ -1,9 +1,10 @@
 """Channel scoring from one probe pass.
 
 One train-mode forward/backward on a fixed minibatch captures, for every
-norm-carrying channel, the triple (gamma, dL/dgamma, beta). Each layer's
-three vectors are scaled to unit Euclidean norm so channels compete
-globally on comparable footing, then combined into a scalar score:
+norm-carrying channel, the triple (gamma, dL/dgamma, beta) and the L1 norm
+of its filter. Each layer's four vectors are scaled to unit Euclidean norm
+so channels compete globally on comparable footing, then combined into a
+scalar score:
 
     score = |grad_gamma_n * gamma_n| + lam * beta_n
 
@@ -29,8 +30,8 @@ from .netgraph import BN_KINDS, ChannelRef, Network, NetworkSpec, forward_full, 
 
 CRITERIA = ("gfbs", "gamma_only", "beta_only", "l1_filter")
 
-CSV_HEADER = ["layer", "channel", "gamma", "grad_gamma", "beta",
-              "gamma_n", "grad_gamma_n", "beta_n", "score", "group", "rank"]
+CSV_HEADER = ["layer", "channel", "gamma", "grad_gamma", "beta", "weight_l1",
+              "gamma_n", "grad_gamma_n", "beta_n", "weight_l1_n", "score", "group", "rank"]
 
 
 @dataclass(frozen=True)
@@ -136,19 +137,15 @@ def _looks_untrained(net: Network, bn_blocks: list[int]) -> bool:
     return True
 
 
-NORM_FIELDS = ("gamma", "grad_gamma", "beta", "weight_l1")
-
-
-def normalize_layerwise(records: list[SaliencyRecord],
-                        fields: tuple[str, ...] = NORM_FIELDS) -> list[SaliencyRecord]:
-    """Scale each layer's vector of every raw field in ``fields`` (default:
-    gamma, grad_gamma, beta, weight_l1) to unit Euclidean norm and store it
-    in the matching ``_n`` field, in place. All-zero vectors stay all-zero."""
+def normalize_layerwise(records: list[SaliencyRecord]) -> list[SaliencyRecord]:
+    """Scale each layer's vector of gamma, grad_gamma, beta and weight_l1 to
+    unit Euclidean norm and store it in the matching ``_n`` field, in place.
+    All-zero vectors stay all-zero."""
     by_layer: dict[int, list[SaliencyRecord]] = {}
     for r in records:
         by_layer.setdefault(r.layer, []).append(r)
     for layer_records in by_layer.values():
-        for raw in fields:
+        for raw in ("gamma", "grad_gamma", "beta", "weight_l1"):
             vec = np.array([getattr(r, raw) for r in layer_records], dtype=np.float64)
             peak = float(np.abs(vec).max())
             if peak > 0:  # dividing by the peak first keeps the norm from underflowing
@@ -207,8 +204,7 @@ def write_saliency_csv(records: list[SaliencyRecord], path) -> None:
 
 def read_saliency_csv(path, spec: NetworkSpec) -> list[SaliencyRecord]:
     """Records of a saliency CSV written for ``spec``. ``has_relu`` comes from
-    each row's block kind; ``weight_l1`` and ``weight_l1_n`` are not in the
-    CSV and read as 0. A channel may have one row only."""
+    each row's block kind. A channel may have one row only."""
     records: dict[tuple[int, int], SaliencyRecord] = {}
     for lineno, row in read_csv(path, CSV_HEADER):
         try:
@@ -220,14 +216,13 @@ def read_saliency_csv(path, spec: NetworkSpec) -> list[SaliencyRecord]:
             if (layer, channel) in records:
                 raise FormatError(f"{path}:{lineno}: repeated row for channel {channel} "
                                   f"of block {layer}")
-            floats = {name: float(v) for name, v in zip(CSV_HEADER[2:9], row[2:9])}
+            floats = {name: float(v) for name, v in zip(CSV_HEADER[2:-2], row[2:-2])}
             bad = [name for name, v in floats.items() if not math.isfinite(v)]
             if bad:
                 raise FormatError(f"{path}:{lineno}: non-finite {', '.join(bad)}")
             records[layer, channel] = SaliencyRecord(
-                layer=layer, channel=channel, weight_l1=0.0,
-                has_relu=block.kind == "conv_bn_relu", group=int(row[9]),
-                rank=int(row[10]), **floats)
+                layer=layer, channel=channel, has_relu=block.kind == "conv_bn_relu",
+                group=int(row[-2]), rank=int(row[-1]), **floats)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad field: {exc}") from exc
     if not records:

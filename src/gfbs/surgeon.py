@@ -179,7 +179,7 @@ def validate_plan(net: Network, plan: PrunePlan) -> ValidationReport:
         if list(kept) != sorted(set(kept) & set(range(n))):
             v.append(f"layer {layer}: kept {list(kept)} is not an ordered "
                      f"subset of its {n} channels")
-        if net.spec.blocks[layer].kind in BN_KINDS and len(kept) < plan.min_keep:
+        if net.spec.blocks[layer].kind in BN_KINDS and len(kept) < min(plan.min_keep, n):
             v.append(f"layer {layer}: collapsed to {len(kept)} < min_keep {plan.min_keep}")
     removed_set = set(plan.removed)
     for g in net.spec.groups:

@@ -1,6 +1,6 @@
-"""Shared test utilities: the finite-difference gradient check, byte-level
-checkpoint and IDX writers and a runner for the command-line tool in a
-child process."""
+"""Shared test utilities: the finite-difference gradient check and the
+sum-of-elements loss it reduces to, byte-level checkpoint and IDX writers
+and a runner for the command-line tool in a child process."""
 
 import os
 import struct
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gfbs.autograd import Tape, Tensor, backward
+from gfbs.autograd import Tape, Tensor, _accum, backward
 
 FD_H = 1e-5
 FD_TOL = 1e-5
@@ -49,6 +49,18 @@ def write_idx(directory, images, labels):
     ip.write_bytes(struct.pack(">IIII", 0x803, *imgs.shape) + imgs.tobytes())
     lp.write_bytes(struct.pack(">II", 0x801, len(labs)) + labs.tobytes())
     return ip, lp
+
+
+def reduce_sum(x: Tensor, tape: Tape | None = None) -> Tensor:
+    """Sum of all elements as a scalar tensor."""
+    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype))
+    if tape is not None:
+
+        def bwd(gout: np.ndarray) -> None:
+            _accum(x, np.broadcast_to(gout, x.shape).astype(x.dtype))
+
+        tape.record("reduce_sum", [x], out, bwd)
+    return out
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

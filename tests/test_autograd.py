@@ -20,12 +20,11 @@ from gfbs.autograd import (
     linear,
     loss,
     maxpool2d,
-    reduce_sum,
     relu,
 )
 from gfbs.errors import ConfigError, NumericError
 
-from helpers import gradcheck, rel_err
+from helpers import gradcheck, reduce_sum, rel_err
 
 RNG = np.random.default_rng(42)
 

@@ -16,8 +16,8 @@ from helpers import run_cli, write_ckpt, write_idx
 from gfbs import cli
 from gfbs.cli import main
 from gfbs.data import _DESCRIPTORS
-from gfbs.netgraph import load_checkpoint
-from gfbs.saliency import CSV_HEADER
+from gfbs.netgraph import load_checkpoint, save_checkpoint
+from gfbs.saliency import CRITERIA, CSV_HEADER
 from gfbs.surgeon import plan_prune
 from gfbs.trainer import TrainConfig
 
@@ -167,7 +167,7 @@ class TestPruneCommand:
         csv = tmp_path / "crafted.csv"
         rows = [",".join(CSV_HEADER)]
         for k, (layer, ch) in enumerate([(0, c) for c in range(8)] + [(2, c) for c in range(8)]):
-            rows.append(f"{layer},{ch},1,1,1,{(k + 1) / 16},1,{(15 - k) / 16},0,{k},{k}")
+            rows.append(f"{layer},{ch},1,1,1,1,{(k + 1) / 16},1,{(15 - k) / 16},1,0,{k},{k}")
         csv.write_text("\n".join(rows) + "\n")
         ckpt = workdir / "train" / "baseline.ckpt"
         doc0, removed0 = self.prune_removed(ckpt, csv, tmp_path / "lam0", "--lambda", "0")
@@ -175,6 +175,54 @@ class TestPruneCommand:
         assert (doc0["lambda"], doc9["lambda"]) == (0.0, 9.0)
         assert removed0 == [(0, 0), (0, 1), (0, 2), (0, 3)]
         assert removed9 == [(2, 4), (2, 5), (2, 6), (2, 7)]
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_ranks_from_the_csv_alone(self, workdir, saliency_dir, tmp_path, criterion):
+        # scaling each filter by its own factor changes every filter norm of
+        # the checkpoint; the plan must follow the norms the CSV recorded
+        ckpt = workdir / "train" / "baseline.ckpt"
+        net = load_checkpoint(ckpt)
+        for i in net.bn_blocks():
+            w = net.params[i].weight.data
+            w *= (10.0 ** np.arange(len(w), dtype=w.dtype))[:, None, None, None]
+        save_checkpoint(net, tmp_path / "rescaled.ckpt")
+        csv = saliency_dir / "saliency.csv"
+        flags = ("--criterion", criterion)
+        self.prune_removed(ckpt, csv, tmp_path / "a", *flags)
+        self.prune_removed(tmp_path / "rescaled.ckpt", csv, tmp_path / "b", *flags)
+        assert (tmp_path / "a" / "plan.json").read_bytes() == \
+            (tmp_path / "b" / "plan.json").read_bytes()
+
+    def test_plan_failing_validation_makes_no_out(self, workdir, saliency_dir, tmp_path,
+                                                  monkeypatch, capsys):
+        def bad_plan(net, records, cfg):  # claims a floor its kept lists break
+            return dataclasses.replace(plan_prune(net, records, cfg), min_keep=99)
+
+        monkeypatch.setattr(cli, "plan_prune", bad_plan)
+        rc = main(["prune", "--ckpt", str(workdir / "train" / "baseline.ckpt"),
+                   "--saliency", str(saliency_dir / "saliency.csv"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "plan failed validation" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_layer_narrower_than_min_keep_is_kept_whole(self, tmp_path):
+        # block 0 has 2 channels, below the default --min-keep of 4: no plan
+        # can touch it, so it must not count as collapsed either
+        spec = tmp_path / "narrow.spec"
+        spec.write_text(SPEC_TEXT.replace("conv_bn_relu 8 3 1 1\npool",
+                                          "conv_bn_relu 2 3 1 1\npool"))
+        data = "shapes:n_train=32,n_test=8,size=12,seed=3"
+        assert main(["train", "--spec", str(spec), "--data", data, "--epochs", "1",
+                     "--out", str(tmp_path / "train")]) == 0
+        ckpt = tmp_path / "train" / "baseline.ckpt"
+        assert main(["saliency", "--ckpt", str(ckpt), "--data", data,
+                     "--batch-size", "16", "--out", str(tmp_path / "sal")]) == 0
+        assert main(["prune", "--ckpt", str(ckpt), "--saliency", str(tmp_path / "sal" /
+                     "saliency.csv"), "--tau", "0.3", "--out", str(tmp_path / "prune")]) == 0
+        doc = json.loads((tmp_path / "prune" / "plan.json").read_text())
+        assert doc["kept_per_layer"][0] == [0, 1]
+        assert doc["removed"]  # the wider layer was pruned
 
     def test_l1_filter_follows_filter_norms(self, workdir, saliency_dir, tmp_path):
         ckpt = workdir / "train" / "baseline.ckpt"
@@ -248,6 +296,7 @@ class TestReportCommand:
         assert "plan failed validation" in capsys.readouterr().err
         assert not (tmp_path / "sweep" / "lambda_0" / "plan.json").exists()
         assert not (tmp_path / "sweep" / "report.md").exists()
+        assert not (tmp_path / "sweep").exists()  # the first plan failed: nothing was made
 
     def test_sweep_metric_is_the_finetune_final_test_pass(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "evaluate", lambda *a: pytest.fail("extra test pass"))
@@ -275,7 +324,7 @@ class TestReportCommand:
         out = run_cli(*argv, *inputs[argv[0]], "--out", tmp_path / "out")
         assert_one_line_error(out, 2)
         assert "lambda" in out.stderr
-        assert not any((tmp_path / "out").iterdir())  # no lambda_* directory, no artifact
+        assert not (tmp_path / "out").exists()  # no lambda_* directory, no artifact
 
     def test_report_dir_that_is_not_a_directory(self, tmp_path):
         out = run_cli("report", "--dir", tmp_path / "missing", "--out", tmp_path / "out")
@@ -359,6 +408,51 @@ class TestExitCodes:
         assert_one_line_error(out, 2)
         assert not (tmp_path / "out" / "baseline.ckpt").exists()
 
+    @pytest.mark.parametrize("argv, code", [
+        (["train", "--spec", "{work}/net.spec", "--data", DATA, "--lr", "nan"], 2),
+        (["finetune", "--ckpt", "{ckpt}", "--data", DATA, "--epochs", "0"], 2),
+        (["saliency", "--ckpt", "{ckpt}", "--data", DATA, "--batch-size", "1"], 2),
+        (["oracle", "--ckpt", "{ckpt}", "--data", DATA, "--saliency", "{tmp}/missing.csv"], 2),
+        (["prune", "--ckpt", "{ckpt}", "--saliency", "{sal}", "--tau", "1.5"], 2),
+        (["report", "--sweep-lambda", "--ckpt", "{ckpt}", "--data", DATA,
+          "--lambdas", "0.1,abc"], 2),
+        (["report", "--dir", "{tmp}/run"], 4),  # its plan.json is not a JSON object
+    ], ids=["train", "finetune", "saliency", "oracle", "prune", "sweep", "report"])
+    def test_refused_input_makes_no_out(self, workdir, saliency_dir, tmp_path, argv, code):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "plan.json").write_text("[1, 2]")
+        paths = dict(work=workdir, ckpt=workdir / "train" / "baseline.ckpt",
+                     sal=saliency_dir / "saliency.csv", tmp=tmp_path)
+        out = run_cli(*(a.format(**paths) for a in argv), "--out", tmp_path / "out")
+        assert_one_line_error(out, code)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data, flags", [
+        ("shapes:n_train=1,n_test=4,size=12", []),
+        (DATA, ["--batch-size", "1"]),
+        ("idx:images={tmp}/imgs.idx,labels={tmp}/labs.idx", []),
+        ("idx:images={tmp}/imgs.idx,labels={tmp}/labs.idx,test_fraction=0.5", []),
+    ], ids=["one_training_sample", "batch_size_1", "idx_one_sample", "idx_two_samples"])
+    def test_run_that_trains_nothing_is_refused(self, workdir, tmp_path, data, flags):
+        n = 2 if data.endswith("test_fraction=0.5") else 1
+        write_idx(tmp_path, np.zeros((n, 12, 12)), np.arange(n))
+        out = run_cli("train", "--spec", workdir / "net.spec", "--epochs", "1",
+                      "--data", data.format(tmp=tmp_path), *flags, "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+        assert ("no training samples" if n == 1 and "idx" in data
+                else "no batch can reach 2 samples") in out.stderr
+        assert not (tmp_path / "out").exists()  # so no checkpoint and no metrics.csv
+
+    def test_trailing_one_sample_batch_is_skipped(self, tmp_path):
+        # the last block normalizes a 1x1 map, so a 1-sample batch there would
+        # have a single value per channel: 9 samples at batch 8 still train
+        spec = tmp_path / "deep.spec"
+        spec.write_text("input 1 8 8\nconv_bn_relu 4 3 1 1\npool 0 2 2 0\npool 0 2 2 0\n"
+                        "pool 0 2 2 0\nconv_bn_relu 4 1 1 0\nflatten\nlinear 10\n")
+        assert main(["train", "--spec", str(spec), "--data", "shapes:n_train=9,n_test=4,size=8",
+                     "--epochs", "1", "--batch-size", "8", "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "baseline.ckpt").exists()
+
     def test_non_utf8_spec_is_format_error(self, tmp_path):
         spec = tmp_path / "latin1.spec"
         spec.write_bytes(SPEC_TEXT.replace("clitiny", "cl\xeftiny").encode("latin-1"))
@@ -380,7 +474,7 @@ class TestExitCodes:
         lines = (saliency_dir / "saliency.csv").read_text().splitlines()
         for i in (1, 2, 3):  # grad_gamma and grad_gamma_n of channels (0,0), (0,1), (0,2)
             row = lines[i].split(",")
-            row[3] = row[6] = "nan"
+            row[3] = row[7] = "nan"
             lines[i] = ",".join(row)
         csv = tmp_path / "nan.csv"
         csv.write_text("\n".join(lines) + "\n")

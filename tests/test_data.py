@@ -128,6 +128,11 @@ class TestIdx:
         with pytest.raises(FormatError):
             load_idx(ip, lp)
 
+    def test_one_sample_leaves_no_training_split(self, tmp_path):
+        ip, lp = write_idx(tmp_path, np.zeros((1, 4, 4), np.uint8), [0])
+        with pytest.raises(ConfigError, match="IDX split left no training samples"):
+            load_idx(ip, lp)
+
     @pytest.mark.parametrize("fraction", [0.0, -1.0, 1.0, math.nan])
     def test_test_fraction_outside_the_open_unit_interval(self, tmp_path, fraction):
         ip, lp = write_idx(tmp_path, np.zeros((20, 4, 4), np.uint8), np.arange(20) % 3)

@@ -19,8 +19,8 @@ from gfbs.autograd import (
     batchnorm,
     conv2d,
     maxpool2d,
-    reduce_sum,
 )
+from helpers import reduce_sum
 
 pytest.importorskip("pytest_benchmark")
 

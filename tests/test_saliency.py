@@ -288,16 +288,27 @@ class TestCsv:
         # digits, 2.0 is written "2" and 1234567890.0 goes to an exponent
         recs = [SaliencyRecord(layer=2, channel=0, gamma=2.0, grad_gamma=-1.5e-10, beta=1 / 3,
                                weight_l1=9.0, has_relu=False, group=-1, gamma_n=1.0,
-                               grad_gamma_n=-1.0, beta_n=1.0, score=1234567890.0, rank=1),
+                               grad_gamma_n=-1.0, beta_n=1.0, weight_l1_n=1.0,
+                               score=1234567890.0, rank=1),
                 SaliencyRecord(layer=0, channel=1, gamma=0.123456789, grad_gamma=0.5,
                                beta=-0.25, weight_l1=3.0, has_relu=True, group=3, gamma_n=0.6,
-                               grad_gamma_n=0.8, beta_n=-1.0, score=2 / 3, rank=0)]
+                               grad_gamma_n=0.8, beta_n=-1.0, weight_l1_n=1 / 7, score=2 / 3,
+                               rank=0)]
         p = tmp_path / "a.csv"
         write_saliency_csv(recs, p)
         assert p.read_bytes() == (
-            b"layer,channel,gamma,grad_gamma,beta,gamma_n,grad_gamma_n,beta_n,score,group,rank\n"
-            b"0,1,0.123456789,0.5,-0.25,0.6,0.8,-1,0.666666667,3,0\n"
-            b"2,0,2,-1.5e-10,0.333333333,1,-1,1,1.23456789e+09,-1,1\n")
+            b"layer,channel,gamma,grad_gamma,beta,weight_l1,gamma_n,grad_gamma_n,beta_n,"
+            b"weight_l1_n,score,group,rank\n"
+            b"0,1,0.123456789,0.5,-0.25,3,0.6,0.8,-1,0.142857143,0.666666667,3,0\n"
+            b"2,0,2,-1.5e-10,0.333333333,9,1,-1,1,1,1.23456789e+09,-1,1\n")
+
+    def test_header_without_filter_norms_rejected(self, tmp_path):
+        # the 11-column header written before the CSV carried weight_l1
+        old = [c for c in CSV_HEADER if not c.startswith("weight_l1")]
+        p = tmp_path / "old.csv"
+        p.write_text(",".join(old) + "\n0,0,1,1,1,1,1,1,0.5,0,0\n")
+        with pytest.raises(FormatError, match="old.csv: unexpected CSV header"):
+            read_saliency_csv(p, parse_spec(TWO_BLOCK))
 
     def test_header_checked(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -328,7 +339,8 @@ class TestCsv:
         score(loaded, PruneConfig(lam=0.5))
         np.testing.assert_allclose([r.score for r in loaded], written, rtol=1e-7, atol=1e-8)
 
-    @pytest.mark.parametrize("col, value", [(3, "nan"), (2, "inf"), (8, "-inf"), (6, "NaN")])
+    @pytest.mark.parametrize("col, value", [(3, "nan"), (2, "inf"), (8, "-inf"), (6, "NaN"),
+                                            (10, "-inf"), (7, "NaN"), (5, "nan"), (9, "nan")])
     def test_non_finite_field_rejected(self, tmp_path, col, value):
         p = tmp_path / "a.csv"
         write_saliency_csv(self.full_records(), p)
@@ -356,16 +368,14 @@ class TestCsv:
         recs = self.full_records()
         p = tmp_path / "a.csv"
         write_saliency_csv(recs, p)
-        p.write_text(p.read_text() + row + ",1,1,1,1,1,1,1,0,0\n")
+        p.write_text(p.read_text() + row + ",1,1,1,1,1,1,1,1,1,0,0\n")
         with pytest.raises(FormatError, match="no norm channel"):
             read_saliency_csv(p, parse_spec(TWO_BLOCK))
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "a.csv"
-        p.write_text(",".join(
-            ["layer", "channel", "gamma", "grad_gamma", "beta", "gamma_n",
-             "grad_gamma_n", "beta_n", "score", "group", "rank"]) + "\n")
-        with pytest.raises(FormatError):
+        p.write_text(",".join(CSV_HEADER) + "\n")
+        with pytest.raises(FormatError, match="no saliency rows"):
             read_saliency_csv(p, parse_spec(TWO_BLOCK))
 
 

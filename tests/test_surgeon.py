@@ -308,6 +308,15 @@ class TestValidation:
         assert not report.ok
         assert any("collapsed" in msg for msg in report.violations)
 
+    def test_layer_below_min_keep_counts_only_when_it_lost_channels(self):
+        net = randomized_net(CHAIN.replace("conv_bn_relu 8 3 1 1\npool",
+                                           "conv_bn_relu 2 3 1 1\npool"))
+        plan = plan_prune(net, chain_records(net.spec, 1), PruneConfig(tau=0.5, min_keep=4))
+        assert plan.kept_per_layer[0] == (0, 1) and plan.removed
+        assert validate_plan(net, plan).ok
+        bad = dataclasses.replace(plan, kept_per_layer={**plan.kept_per_layer, 0: (1,)})
+        assert validate_plan(net, bad).violations == ("layer 0: collapsed to 1 < min_keep 4",)
+
     def test_split_group_detected(self):
         spec = parse_spec(RESNETTY)
         net = randomized_net(RESNETTY, seed=0)
