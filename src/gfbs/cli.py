@@ -49,6 +49,7 @@ from .saliency import (
 from .surgeon import apply_prune, plan_prune, validate_plan, write_plan
 from .trainer import (
     TrainConfig,
+    check_trainable,
     classify_finetune_config,
     classify_train_config,
     denoise_finetune_config,
@@ -120,9 +121,7 @@ def _train_config(args, data, finetune: bool) -> TrainConfig:
         # an epochs of another type is left for TrainConfig to refuse
         merged["lr_milestones"] = tuple(m for m in cfg.lr_milestones if m < merged["epochs"])
     cfg = TrainConfig(**merged)
-    if min(cfg.batch_size, len(data.x_train)) < 2:  # a train-mode norm needs 2 samples
-        raise ConfigError(f"no batch can reach 2 samples: batch_size {cfg.batch_size}, "
-                          f"{len(data.x_train)} training samples")
+    check_trainable(cfg.batch_size, len(data.x_train))
     return cfg
 
 

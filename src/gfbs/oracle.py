@@ -5,6 +5,9 @@ measures the resulting loss change on a fixed minibatch. Removal is
 simulated by zeroing the group's norm scales: with gamma at zero the
 block's output collapses to its shift, exactly what structural removal
 plus a bias correction would produce, so no surgery is needed per probe.
+A gamma-only edit leaves every block before the group's first block, and
+that block's conv output, as they were, so each probe resumes there from
+one full pass of the probe batch.
 Also here: Spearman rank correlation with average-rank tie handling.
 """
 
@@ -21,6 +24,7 @@ from .netgraph import (
     ChannelRef,
     Network,
     forward_full,
+    run_blocks,
 )
 
 
@@ -61,17 +65,37 @@ def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
 
     The probe batch must be the same one the saliency capture used for
     the comparison to mean anything. The network is left bit-identical.
+
+    One pass records, at each group's first block, the pre-norm output
+    and the residual stack. A probe zeroes the group's gammas and resumes
+    there, skipping that block's conv: zeroing gamma changes neither the
+    blocks before it nor its conv, which reads only weight and bias, so
+    every delta is bit-identical to one from a full pass of the edited net.
+    Only those resume points are held across the probes: the pass's other
+    activations, kept alive among the probes' temporaries, fragment the
+    heap so that each probe faults in fresh pages, which makes the run
+    slower and its time far less steady.
     """
     groups = net.spec.groups
     if not groups:
         return []
     snapshot = {name: t.data.copy() for name, t in net.named_tensors().items()}
-    base = _batch_loss(net, batch_x, batch_y, loss_kind)
+    trace, entries = {}, {}
+    out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train", trace=trace,
+                       update_stats=False, entries=entries)
+    base = loss_op(out, batch_y, loss_kind).item()
+    starts = {g.members[0].layer for g in groups}
+    resume = {s: (trace[s]["pre_bn"], entries[s][1]) for s in starts}
+    del trace, entries
 
     records = []
     for g in groups:
+        start = g.members[0].layer
+        pre, stack = resume[start]
         with _zeroed(net, g.members, ("gamma",)):
-            delta = abs(_batch_loss(net, batch_x, batch_y, loss_kind) - base)
+            out = run_blocks(net, pre, "train", start, stack, pre_norm=True,
+                             update_stats=False)
+            delta = abs(loss_op(out, batch_y, loss_kind).item() - base)
         records.append(OracleRecord(group=g.group_id, members=g.members, delta_loss=delta))
     for name, t in net.named_tensors().items():
         if not np.array_equal(t.data, snapshot[name]):

@@ -142,6 +142,14 @@ def _lr_at(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay ** passed
 
 
+def check_trainable(batch_size: int, n_train: int) -> None:
+    """Refuse a run that trains nothing: a train-mode norm needs 2 samples,
+    and no batch can reach 2 when the batch size or the training split is 1."""
+    if min(batch_size, n_train) < 2:
+        raise ConfigError(f"no batch can reach 2 samples: batch_size {batch_size}, "
+                          f"{n_train} training samples")
+
+
 def train(net: Network, data: DatasetHandle, cfg: TrainConfig,
           ckpt_path=None) -> list[Metrics]:
     """SGD/Adam loop with multi-step decay; returns the metrics history.
@@ -153,6 +161,7 @@ def train(net: Network, data: DatasetHandle, cfg: TrainConfig,
     kind = cfg.loss or data.loss_kind
     if task == "denoise" and kind == "cross_entropy":
         raise ConfigError("cross_entropy loss cannot train a denoiser")
+    check_trainable(cfg.batch_size, len(data.x_train))
     opt = _make_optimizer(cfg, net)
     history: list[Metrics] = []
     best_metric = -math.inf

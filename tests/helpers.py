@@ -1,6 +1,7 @@
 """Shared test utilities: the finite-difference gradient check and the
-sum-of-elements loss it reduces to, byte-level checkpoint and IDX writers
-and a runner for the command-line tool in a child process."""
+sum-of-elements loss it reduces to, byte-level checkpoint and IDX writers,
+a runner for the command-line tool in a child process, and the nets the
+block walker and the oracle are tested on."""
 
 import os
 import struct
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from gfbs.autograd import Tape, Tensor, _accum, backward
+from gfbs.netgraph import build_network, parse_spec
 
 FD_H = 1e-5
 FD_TOL = 1e-5
@@ -49,6 +51,44 @@ def write_idx(directory, images, labels):
     ip.write_bytes(struct.pack(">IIII", 0x803, *imgs.shape) + imgs.tobytes())
     lp.write_bytes(struct.pack(">II", 0x801, len(labs)) + labs.tobytes())
     return ip, lp
+
+
+# The block walker's and the oracle's test nets: a pool + flatten + linear
+# chain, a tinydncnn-style skip around the whole net, and a tinyres-style net
+# whose skip joins tie two conv_bn blocks to the stem in 3-member groups.
+WALKER_SPECS = {
+    "chain": "input 2 8 8\nconv_bn_relu 4 3 1 1\npool 0 2 2 0\nconv_bn 6 3 1 1\n"
+             "flatten\nlinear 3\n",
+    "dncnn": "input 1 8 8\nresidual_begin\n" + "conv_bn_relu 6 3 1 1\n" * 3
+             + "conv 1 3 1 1\nresidual_add\n",
+    "res": "input 1 8 8\nconv_bn_relu 4 3 1 1\n"
+           + "residual_begin\nconv_bn_relu 4 3 1 1\nconv_bn 4 3 1 1\nresidual_add\n" * 2
+           + "pool 0 2 2 0\nconv_bn_relu 6 3 1 1\nflatten\nlinear 3\n",
+}
+
+
+def walker_net(name: str, dtype=np.float64, seed: int = 0):
+    """The ``WALKER_SPECS`` net of that name with random norm scales, shifts
+    and running statistics, so that no channel is a no-op in either mode."""
+    net = build_network(parse_spec(WALKER_SPECS[name]), seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed + 100)
+    for i in net.bn_blocks():
+        p = net.params[i]
+        c = p.out_channels
+        p.gamma.data[:] = rng.uniform(0.3, 1.5, c)
+        p.beta.data[:] = rng.normal(0.0, 0.3, c)
+        p.running_mean.data[:] = rng.normal(0.0, 0.2, c)
+        p.running_var.data[:] = rng.uniform(0.5, 2.0, c)
+    return net
+
+
+def walker_probe(net, name: str, n: int = 6, seed: int = 1):
+    """A probe batch for a ``WALKER_SPECS`` net, with its loss kind."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n,) + net.spec.input_shape)
+    if name == "dncnn":
+        return x, x + 0.1 * rng.standard_normal(x.shape), "mse"
+    return x, rng.integers(0, 3, n), "cross_entropy"
 
 
 def reduce_sum(x: Tensor, tape: Tape | None = None) -> Tensor:

@@ -1,9 +1,10 @@
 """Per-op timings of the conv, max-pool and batchnorm kernels at the layer
-shapes of the tinydncnn and tinyvgg nets, one forward plus backward per round.
+shapes of the tinydncnn and tinyvgg nets, one forward plus backward per round,
+and of one oracle sweep over a reduced tinydncnn-style net.
 
     pytest tests/test_kernel_bench.py --benchmark-only
 
-prints the ms per op. The tests assert output shapes and finiteness only,
+prints the ms per op and per sweep. The tests assert output shapes and finiteness only,
 never a time, so they cannot flake on a slow host.
 """
 
@@ -20,6 +21,8 @@ from gfbs.autograd import (
     conv2d,
     maxpool2d,
 )
+from gfbs.netgraph import build_network, parse_spec
+from gfbs.oracle import oracle_delta_loss
 from helpers import reduce_sum
 
 pytest.importorskip("pytest_benchmark")
@@ -84,3 +87,17 @@ def test_batchnorm_forward_backward(benchmark):
     assert out.shape == (16, 32, 12, 12) and out.dtype == np.float32
     assert x.grad.shape == x.shape
     assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
+
+
+def test_oracle_sweep(benchmark):
+    # tinydncnn cut to 4 blocks of 16 channels, probed with 16 samples
+    spec = parse_spec("input 1 12 12\nresidual_begin\n" + "conv_bn_relu 16 3 1 1\n" * 4
+                      + "conv 1 3 1 1\nresidual_add\n")
+    net = build_network(spec, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((16, 1, 12, 12)).astype(np.float32)
+    y = x + 0.2 * rng.standard_normal(x.shape).astype(np.float32)
+    records = benchmark.pedantic(oracle_delta_loss, args=(net, x, y, "mse"), rounds=ROUNDS)
+    assert len(records) == 4 * 16
+    assert sorted(r.rank for r in records) == list(range(64))
+    assert all(np.isfinite(r.delta_loss) and r.delta_loss >= 0 for r in records)

@@ -6,6 +6,7 @@ import pytest
 from gfbs.autograd import Tape, Tensor, batchnorm, conv2d, flatten as op_flatten, linear as op_linear, loss, maxpool2d, relu
 from gfbs.errors import ConfigError, FormatError
 from gfbs.netgraph import (
+    CONV_KINDS,
     BlockSpec,
     ChannelRef,
     NetworkSpec,
@@ -19,10 +20,11 @@ from gfbs.netgraph import (
     infer_shapes,
     load_checkpoint,
     parse_spec,
+    run_blocks,
     save_checkpoint,
 )
 
-from helpers import gradcheck, write_ckpt
+from helpers import WALKER_SPECS, gradcheck, walker_net, write_ckpt
 
 TINY = """\
 name tiny
@@ -262,6 +264,60 @@ class TestForward:
         net = build_network(parse_spec(TINY), seed=0)
         with pytest.raises(ConfigError):
             forward_full(net, Tensor(np.zeros((1, 3, 8, 8), np.float32)), "eval")
+
+
+class TestBlockWalker:
+    """Resuming at any block from one full pass's entries gives the full
+    pass's output, bit for bit; so does resuming at a conv block from its
+    pre-norm output with the conv skipped."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("name", sorted(WALKER_SPECS))
+    def test_resume_at_every_block_matches_forward_full(self, name, mode, dtype):
+        net = walker_net(name, dtype)
+        x = Tensor(np.random.default_rng(2).standard_normal((5,) + net.spec.input_shape),
+                   dtype=dtype)
+        trace, entries = {}, {}
+        full = forward_full(net, x, mode, trace=trace, update_stats=False, entries=entries).data
+        np.testing.assert_array_equal(forward_full(net, x, mode, update_stats=False).data, full)
+        assert sorted(entries) == list(range(len(net.spec.blocks)))
+        assert entries[0] == (x, ())
+        assert sorted(trace) == [n.index for n in net.spec.nodes if n.block.kind in CONV_KINDS]
+        for i, (inp, stack) in entries.items():
+            out = run_blocks(net, inp, mode, i, stack, update_stats=False)
+            np.testing.assert_array_equal(out.data, full, err_msg=f"from block {i}")
+            if i in trace:
+                out = run_blocks(net, trace[i]["pre_bn"], mode, i, stack, pre_norm=True,
+                                 update_stats=False)
+                np.testing.assert_array_equal(out.data, full, err_msg=f"from block {i}'s conv")
+            assert len(stack) == _open_residuals(net.spec, i)
+
+    def test_resuming_leaves_the_entries_intact(self):
+        net = walker_net("res")
+        x = Tensor(np.random.default_rng(3).standard_normal((4, 1, 8, 8)))
+        entries = {}
+        forward_full(net, x, "train", update_stats=False, entries=entries)
+        kept = {i: (inp.data.copy(), [t.data.copy() for t in stack])
+                for i, (inp, stack) in entries.items()}
+        inp, stack = entries[2]
+        run_blocks(net, inp, "train", 2, stack, update_stats=False)
+        for i, (inp, stack) in entries.items():
+            np.testing.assert_array_equal(inp.data, kept[i][0])
+            assert len(stack) == len(kept[i][1])
+            for t, saved in zip(stack, kept[i][1]):
+                np.testing.assert_array_equal(t.data, saved)
+
+    def test_pre_norm_needs_a_conv_block(self):
+        net = walker_net("chain")
+        with pytest.raises(ConfigError, match="block 1 has no conv output"):
+            run_blocks(net, Tensor(np.zeros((2, 4, 8, 8))), "eval", 1, pre_norm=True)
+
+
+def _open_residuals(spec, i):
+    """How many residual streams are saved on entry to block ``i``."""
+    kinds = [b.kind for b in spec.blocks[:i]]
+    return kinds.count("residual_begin") - kinds.count("residual_add")
 
 
 class TestFlops:

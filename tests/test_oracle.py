@@ -8,9 +8,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfbs import oracle
+from gfbs import netgraph, oracle
+from gfbs.autograd import Tensor, loss as loss_op
 from gfbs.errors import ConfigError, NumericError
-from gfbs.netgraph import ChannelRef, build_coupling_groups, build_network, parse_spec
+from gfbs.netgraph import ChannelRef, build_coupling_groups, build_network, forward_full, parse_spec
 from gfbs.oracle import (
     OracleRecord,
     bottom_fraction_overlap,
@@ -19,6 +20,8 @@ from gfbs.oracle import (
     spot_check_zero_equivalence,
     write_oracle_csv,
 )
+
+from helpers import WALKER_SPECS, walker_net, walker_probe
 
 TWO_BLOCK = """\
 input 1 8 8
@@ -126,6 +129,100 @@ class TestOracle:
         recs = oracle_delta_loss(net, x, y, "cross_entropy")
         sizes = sorted(len(r.members) for r in recs)
         assert sizes == [1, 1, 1, 1, 2, 2, 2, 2]
+
+
+TINYDNCNN = ("input 1 12 12\nresidual_begin\n" + "conv_bn_relu 32 3 1 1\n" * 7
+             + "conv 1 3 1 1\nresidual_add\n")
+
+
+def naive_oracle(net, x, y, kind):
+    """(group, delta, rank) of each group: zero its gammas, run the whole
+    net from the input, take the loss, restore."""
+    def probe_loss():
+        out = forward_full(net, Tensor(x, dtype=net.dtype), "train", update_stats=False)
+        return loss_op(out, y, kind).item()
+
+    base = probe_loss()
+    deltas = []
+    for g in net.spec.groups:
+        gammas = [net.params[m.layer].gamma.data for m in g.members]
+        saved = [gm[m.channel] for gm, m in zip(gammas, g.members)]
+        for gm, m in zip(gammas, g.members):
+            gm[m.channel] = 0.0
+        deltas.append(abs(probe_loss() - base))
+        for gm, m, v in zip(gammas, g.members, saved):
+            gm[m.channel] = v
+    order = sorted(range(len(deltas)), key=lambda i: (deltas[i], i))
+    ranks = {i: r for r, i in enumerate(order)}
+    return [(g.group_id, deltas[i], ranks[i]) for i, g in enumerate(net.spec.groups)]
+
+
+CONV2D = netgraph.conv2d
+
+
+def counting_conv2d(monkeypatch, fail_at=None):
+    """Count the walker's conv2d calls; raise at call ``fail_at``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise NumericError("conv failed")
+        return CONV2D(*args, **kwargs)
+
+    monkeypatch.setattr(netgraph, "conv2d", counted)
+    return calls
+
+
+class TestResumedProbes:
+    """Each probe resumes at its group's first block; the results are those
+    of a full forward pass per group, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("name", sorted(WALKER_SPECS))
+    def test_equals_a_full_pass_per_group(self, name, dtype):
+        net = walker_net(name, dtype)
+        x, y, kind = walker_probe(net, name)
+        got = [(r.group, r.delta_loss, r.rank) for r in oracle_delta_loss(net, x, y, kind)]
+        assert got == naive_oracle(net, x, y, kind)
+        assert len(set(d for _, d, _ in got)) > len(got) // 2  # the deltas tell groups apart
+
+    def test_multi_member_groups_start_at_the_stem(self):
+        net = walker_net("res")
+        stem = [g for g in net.spec.groups if len(g.members) == 3]
+        assert len(stem) == 4 and all(g.members[0].layer == 0 for g in stem)
+
+    def test_conv_calls_on_tinydncnn(self, monkeypatch):
+        # one full pass of 8 convs, then each of the 7 x 32 groups runs only
+        # the convs after its own block: 8 + 32 * (7 + 6 + ... + 1) = 904,
+        # where a full pass per group made 8 * 225 = 1800
+        net = build_network(parse_spec(TINYDNCNN), seed=0)
+        x = np.random.default_rng(0).standard_normal((2, 1, 12, 12))
+        calls = counting_conv2d(monkeypatch)
+        recs = oracle_delta_loss(net, x, x, "mse")
+        assert len(recs) == 224
+        assert len(calls) == 904
+
+    @pytest.mark.parametrize("fail_at", [1, 4, 5, 23, 40],
+                             ids=["first_pass", "last_of_first_pass", "first_probe",
+                                  "mid_sweep", "last_probe"])
+    def test_failure_mid_sweep_restores_net(self, monkeypatch, fail_at):
+        net = walker_net("dncnn")
+        before = {k: v.data.copy() for k, v in net.named_tensors().items()}
+        x, y, kind = walker_probe(net, "dncnn")
+        calls = counting_conv2d(monkeypatch)
+        oracle_delta_loss(net, x, y, kind)
+        assert len(calls) == 40  # 4 + 6 * (3 + 2 + 1)
+        counting_conv2d(monkeypatch, fail_at)
+        with pytest.raises(NumericError, match="conv failed"):
+            oracle_delta_loss(net, x, y, kind)
+        for k, v in net.named_tensors().items():
+            np.testing.assert_array_equal(v.data, before[k])
+
+    def test_wrong_batch_shape_is_config_error(self):
+        net = walker_net("chain")
+        with pytest.raises(ConfigError, match="does not match input"):
+            oracle_delta_loss(net, np.zeros((4, 1, 8, 8)), np.zeros(4, int), "cross_entropy")
 
 
 class TestSpearman:

@@ -167,6 +167,18 @@ class TestTrainLoop:
         assert _lr_at(cfg, 4) == pytest.approx(0.1)
         assert _lr_at(cfg, 9) == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("n_train, batch_size", [(8, 1), (1, 4)],
+                             ids=["batch_size_1", "one_training_sample"])
+    def test_run_that_trains_nothing_is_refused(self, n_train, batch_size):
+        net, data = small_setup(n_train=n_train)
+        before = {k: v.data.copy() for k, v in net.named_tensors().items()}
+        cfg = TrainConfig(epochs=1, batch_size=batch_size, lr=0.05)
+        with pytest.raises(ConfigError, match=rf"^no batch can reach 2 samples: batch_size "
+                                              rf"{batch_size}, {n_train} training samples$"):
+            train(net, data, cfg)
+        for k, v in net.named_tensors().items():
+            np.testing.assert_array_equal(v.data, before[k])
+
     def test_finetune_runs_same_loop(self):
         net, data = small_setup()
         cfg = TrainConfig(epochs=1, batch_size=32, lr=0.01)
