@@ -287,7 +287,8 @@ def batchnorm(x: Tensor, params: ParamSet, mode: str, tape: Tape | None = None,
     In train mode the normalizing mean/variance (biased) come from the
     minibatch, adding per-sample sums in float64 so that sample order does
     not matter, and fold into the running statistics by moving average
-    unless ``update_stats`` is off. Eval mode uses the running statistics.
+    unless ``update_stats`` is off; a batch variance that overflows is a
+    NumericError. Eval mode uses the running statistics.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown batchnorm mode {mode!r}")
@@ -302,9 +303,12 @@ def batchnorm(x: Tensor, params: ParamSet, mode: str, tape: Tape | None = None,
     if mode == "train":
         if m < 2:
             raise ConfigError("train-mode batchnorm needs at least 2 values per channel")
-        mu = (x.data.sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
-        xhat = x.data - mu[None, :, None, None]  # centred here, scaled below
-        var = ((xhat * xhat).sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
+        with np.errstate(over="ignore"):  # an overflow shows as a non-finite variance
+            mu = (x.data.sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
+            xhat = x.data - mu[None, :, None, None]  # centred here, scaled below
+            var = ((xhat * xhat).sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
+        if not np.isfinite(var).all():
+            raise NumericError("batchnorm: batch variance is not finite")
         if update_stats:
             mom = params.momentum
             params.running_mean.data *= 1.0 - mom

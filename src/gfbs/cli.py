@@ -208,9 +208,6 @@ def cmd_oracle(args) -> int:
         if args.saliency else None
     x, y = data.capture_batch(args.batch_size)
     records = oracle_delta_loss(net, x, y, data.loss_kind)
-    out = _outdir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    write_oracle_csv(records, out / "oracle.csv")
     summary: dict = {"groups": len(records)}
 
     rng = np.random.default_rng(args.seed)
@@ -230,6 +227,9 @@ def cmd_oracle(args) -> int:
               f"bottom-20% overlap {overlap}/{k} (random {expect:.2f})")
     else:
         print(f"oracle: {len(records)} groups probed")
+    out = _outdir(args)  # made only now, so a refused run leaves none behind
+    out.mkdir(parents=True, exist_ok=True)
+    write_oracle_csv(records, out / "oracle.csv")
     write_json(out / "summary.json", summary)
     _write_manifest(out, "oracle", args, summary)
     return 0

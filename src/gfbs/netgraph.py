@@ -363,47 +363,40 @@ def build_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network
 
 
 def forward_full(net: Network, batch: Tensor, mode: str, tape: Tape | None = None,
-                 trace: dict | None = None, update_stats: bool = True,
-                 entries: dict | None = None) -> Tensor:
-    """Run the whole network on ``batch`` (see ``run_blocks`` for ``trace``
-    and ``entries``)."""
+                 update_stats: bool = True, resume: dict | None = None) -> Tensor:
+    """Run the whole network on ``batch`` (see ``run_blocks`` for ``resume``)."""
     if batch.data.ndim != 4 or batch.shape[1:] != net.spec.input_shape:
         raise ConfigError(
             f"batch shape {batch.shape} does not match input {net.spec.input_shape}")
-    return run_blocks(net, batch, mode, tape=tape, trace=trace,
-                      update_stats=update_stats, entries=entries)
+    return run_blocks(net, batch, mode, tape=tape, update_stats=update_stats, resume=resume)
 
 
-def run_blocks(net: Network, x: Tensor, mode: str, start: int = 0, stack=(),
-               pre_norm: bool = False, tape: Tape | None = None, trace: dict | None = None,
-               update_stats: bool = True, entries: dict | None = None) -> Tensor:
-    """Run blocks ``start..`` of the network, the one block walker.
+def run_blocks(net: Network, x: Tensor, mode: str, start: int | None = None, stack=(),
+               tape: Tape | None = None, update_stats: bool = True,
+               resume: dict | None = None) -> Tensor:
+    """Run the network's blocks, the one block walker.
 
-    ``x`` enters block ``start`` with ``stack`` the residual streams saved
-    before it, as ``entries[start]`` of an earlier pass records them. With
-    ``pre_norm``, ``x`` is instead block ``start``'s conv output, and that
-    conv is skipped. ``trace``, when given, collects each conv-kind block's
-    pre-norm output as ``trace[i]["pre_bn"]``; ``entries`` collects each
-    block's entry ``(input, stack)`` as ``entries[i]``, from block ``start``
-    on, or from the block after it with ``pre_norm``."""
-    if pre_norm and net.spec.blocks[start].kind not in CONV_KINDS:
+    With ``start`` None, ``x`` is the network input and every block runs.
+    Otherwise ``x`` is the conv output of conv-kind block ``start`` and
+    ``stack`` the residual streams open there, as ``resume[start]`` of an
+    earlier pass records them: that conv is skipped and the walk goes on
+    from its norm. ``resume``, when given, collects ``(conv output, open
+    residual streams)`` as ``resume[i]`` for every conv-kind block i run."""
+    if start is not None and net.spec.blocks[start].kind not in CONV_KINDS:
         raise ConfigError(f"block {start} has no conv output to resume from")
     stack = list(stack)
-    for i in range(start, len(net.spec.blocks)):
+    for i in range(start or 0, len(net.spec.blocks)):
         b, p = net.spec.blocks[i], net.params[i]
-        if entries is not None and not pre_norm:
-            entries[i] = (x, tuple(stack))
         if b.kind in CONV_KINDS:
-            pre = x if pre_norm else conv2d(x, p, stride=b.stride, padding=b.padding, tape=tape)
-            pre_norm = False
+            pre = x if i == start else conv2d(x, p, stride=b.stride, padding=b.padding, tape=tape)
+            if resume is not None:
+                resume[i] = (pre, tuple(stack))
             if b.kind == "conv":
                 x = pre
             else:
                 x = batchnorm(pre, p, mode, tape=tape, update_stats=update_stats)
                 if b.kind == "conv_bn_relu":
                     x = relu(x, tape=tape)
-            if trace is not None:
-                trace[i] = {"pre_bn": pre}
         elif b.kind == "pool":
             x = maxpool2d(x, b.kernel, b.stride, tape=tape)
         elif b.kind == "residual_begin":

@@ -299,10 +299,10 @@ def test_c02_zeroed_filter_equals_structural_removal():
     p0.running_mean.data[j] = 0.0
 
     x = rng.standard_normal((4, 1, 8, 8))
-    trace: dict = {}
-    forward_full(net, Tensor(x, dtype=np.float64), "train", trace=trace,
-                 update_stats=False)
-    pre_bn_max = float(np.abs(trace[0]["pre_bn"].data[:, j]).max())
+    resume: dict = {}
+    forward_full(net, Tensor(x, dtype=np.float64), "train", update_stats=False,
+                 resume=resume)
+    pre_bn_max = float(np.abs(resume[0][0].data[:, j]).max())
 
     scores = {(layer, c): 1.0 + layer + c for layer in (0, 1) for c in range(6)}
     scores[(0, j)] = 0.0
@@ -358,11 +358,11 @@ def test_c04_scaled_normalized_maps_stay_zero_mean(vgg):
         worst = max(worst, float(np.abs(centered.mean(axis=(0, 2, 3))).max()))
 
     x, _ = vgg["probe"]
-    trace: dict = {}
-    forward_full(vgg["net"], Tensor(x), "train", trace=trace, update_stats=False)
+    resume: dict = {}
+    forward_full(vgg["net"], Tensor(x), "train", update_stats=False, resume=resume)
     for i in vgg["net"].bn_blocks():
         p = vgg["net"].params[i]
-        out = batchnorm(Tensor(trace[i]["pre_bn"].data), p, "train",
+        out = batchnorm(Tensor(resume[i][0].data), p, "train",
                         update_stats=False)
         centered = out.data - p.beta.data[None, :, None, None]
         worst = max(worst, float(np.abs(centered.mean(axis=(0, 2, 3))).max()))

@@ -1,5 +1,7 @@
 """Unit tests for the tape-based autodiff engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,29 @@ class TestBatchnorm:
         x = Tensor(rand(1, 2, 1, 1))
         with pytest.raises(ConfigError):
             batchnorm(x, make_bn_params(2), "train")
+
+    @pytest.mark.parametrize("dtype, scale", [(np.float32, 1e19), (np.float32, 1e20),
+                                              (np.float64, 1e160)])
+    def test_overflowing_batch_variance_is_numeric_error(self, dtype, scale):
+        rng = np.random.default_rng(7)
+        x = Tensor((rng.standard_normal((4, 3, 5, 5)) * scale).astype(dtype), dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported once, as the error
+            with pytest.raises(NumericError, match="batch variance is not finite"):
+                batchnorm(x, make_bn_params(3, dtype, rng), "train", update_stats=False)
+
+    @pytest.mark.parametrize("scale", [1e15, 1e18])
+    def test_large_float32_batch_matches_float64_reference(self, scale):
+        rng = np.random.default_rng(8)
+        x = (rng.standard_normal((4, 3, 5, 5)) * scale).astype(np.float32)
+        p = make_bn_params(3, np.float32, rng)
+        out = batchnorm(Tensor(x, dtype=np.float32), p, "train", update_stats=False)
+        x64 = x.astype(np.float64)
+        mu = x64.mean(axis=(0, 2, 3), keepdims=True)
+        var = x64.var(axis=(0, 2, 3), keepdims=True)
+        want = (p.gamma.data[None, :, None, None] * (x64 - mu) / np.sqrt(var + p.eps)
+                + p.beta.data[None, :, None, None])
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-5)
 
 
 class TestPointwise:

@@ -16,7 +16,7 @@ from helpers import run_cli, write_ckpt, write_idx
 from gfbs import cli
 from gfbs.cli import main
 from gfbs.data import _DESCRIPTORS
-from gfbs.netgraph import load_checkpoint, save_checkpoint
+from gfbs.netgraph import build_network, load_checkpoint, parse_spec, save_checkpoint
 from gfbs.saliency import CRITERIA, CSV_HEADER
 from gfbs.surgeon import plan_prune
 from gfbs.trainer import TrainConfig
@@ -425,6 +425,24 @@ class TestExitCodes:
                      sal=saliency_dir / "saliency.csv", tmp=tmp_path)
         out = run_cli(*(a.format(**paths) for a in argv), "--out", tmp_path / "out")
         assert_one_line_error(out, code)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:scoring a network with factory-default")
+    @pytest.mark.parametrize("spec, error", [
+        (SPEC_TEXT, "spearman undefined for constant input"),
+        ("input 1 12 12\nconv_bn_relu 1 3 1 1\nflatten\nlinear 10\n",
+         "spearman needs at least 2 items"),
+    ], ids=["constant_scores", "one_group"])
+    def test_oracle_refused_after_probing_makes_no_out(self, tmp_path, spec, error):
+        # beta_only scores every channel of a factory-default net 0
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(build_network(parse_spec(spec), seed=0), ckpt)
+        assert main(["saliency", "--ckpt", str(ckpt), "--data", DATA, "--criterion",
+                     "beta_only", "--out", str(tmp_path / "sal")]) == 0
+        out = run_cli("oracle", "--ckpt", ckpt, "--data", DATA,
+                      "--saliency", tmp_path / "sal" / "saliency.csv", "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+        assert error in out.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("data, flags", [

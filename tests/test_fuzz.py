@@ -1,6 +1,7 @@
 """Seeded fuzz of every file reader: flipped, truncated and inserted bytes
 must come back as a GfbsError (or parse), never as any other exception,
-and through the command line as exit 0, 2 or 4 with no traceback."""
+and through the command line as exit 0, 2 or 4 with no traceback. A
+checkpoint whose weights overflow the norm's statistics exits 3."""
 
 import shutil
 
@@ -194,3 +195,22 @@ def test_mutated_file_through_the_cli(tmp_path, make, argv):
     assert "Traceback" not in out.stderr
     if out.returncode:
         assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["saliency", "oracle"])
+def test_overflowing_checkpoint_is_one_line_numeric_error(tmp_path, command):
+    """First-conv weights scaled by 1e20 overflow the train-mode batch
+    variance: exit 3 with one error line, no overflow warnings, no --out."""
+    net = build_network(parse_spec(SPEC.replace("linear 3", "linear 10")), seed=0)
+    rng = np.random.default_rng(0)
+    for i in net.bn_blocks():  # not factory-default, so no untrained-net warning
+        c = net.params[i].out_channels
+        net.params[i].gamma.data[:] = rng.uniform(0.5, 1.5, c)
+        net.params[i].beta.data[:] = rng.normal(0.0, 0.3, c)
+    net.params[0].weight.data *= 1e20
+    save_checkpoint(net, tmp_path / "big.ckpt")
+    out = run_cli(command, "--ckpt", tmp_path / "big.ckpt", "--batch-size", "8",
+                  "--data", "shapes:n_train=16,n_test=4,size=8", "--out", tmp_path / "out")
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == "error: batchnorm: batch variance is not finite\n"
+    assert not (tmp_path / "out").exists()

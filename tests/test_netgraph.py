@@ -267,9 +267,8 @@ class TestForward:
 
 
 class TestBlockWalker:
-    """Resuming at any block from one full pass's entries gives the full
-    pass's output, bit for bit; so does resuming at a conv block from its
-    pre-norm output with the conv skipped."""
+    """Resuming at a conv block from its conv output, with the conv
+    skipped, gives the full pass's output, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -278,40 +277,34 @@ class TestBlockWalker:
         net = walker_net(name, dtype)
         x = Tensor(np.random.default_rng(2).standard_normal((5,) + net.spec.input_shape),
                    dtype=dtype)
-        trace, entries = {}, {}
-        full = forward_full(net, x, mode, trace=trace, update_stats=False, entries=entries).data
+        resume = {}
+        full = forward_full(net, x, mode, update_stats=False, resume=resume).data
         np.testing.assert_array_equal(forward_full(net, x, mode, update_stats=False).data, full)
-        assert sorted(entries) == list(range(len(net.spec.blocks)))
-        assert entries[0] == (x, ())
-        assert sorted(trace) == [n.index for n in net.spec.nodes if n.block.kind in CONV_KINDS]
-        for i, (inp, stack) in entries.items():
-            out = run_blocks(net, inp, mode, i, stack, update_stats=False)
-            np.testing.assert_array_equal(out.data, full, err_msg=f"from block {i}")
-            if i in trace:
-                out = run_blocks(net, trace[i]["pre_bn"], mode, i, stack, pre_norm=True,
-                                 update_stats=False)
-                np.testing.assert_array_equal(out.data, full, err_msg=f"from block {i}'s conv")
+        assert sorted(resume) == [n.index for n in net.spec.nodes if n.block.kind in CONV_KINDS]
+        for i, (pre, stack) in resume.items():
+            out = run_blocks(net, pre, mode, i, stack, update_stats=False)
+            np.testing.assert_array_equal(out.data, full, err_msg=f"from block {i}'s conv")
             assert len(stack) == _open_residuals(net.spec, i)
 
     def test_resuming_leaves_the_entries_intact(self):
         net = walker_net("res")
         x = Tensor(np.random.default_rng(3).standard_normal((4, 1, 8, 8)))
-        entries = {}
-        forward_full(net, x, "train", update_stats=False, entries=entries)
-        kept = {i: (inp.data.copy(), [t.data.copy() for t in stack])
-                for i, (inp, stack) in entries.items()}
-        inp, stack = entries[2]
-        run_blocks(net, inp, "train", 2, stack, update_stats=False)
-        for i, (inp, stack) in entries.items():
-            np.testing.assert_array_equal(inp.data, kept[i][0])
+        resume = {}
+        forward_full(net, x, "train", update_stats=False, resume=resume)
+        kept = {i: (pre.data.copy(), [t.data.copy() for t in stack])
+                for i, (pre, stack) in resume.items()}
+        for i, (pre, stack) in resume.items():
+            run_blocks(net, pre, "train", i, stack, update_stats=False)
+        for i, (pre, stack) in resume.items():
+            np.testing.assert_array_equal(pre.data, kept[i][0])
             assert len(stack) == len(kept[i][1])
             for t, saved in zip(stack, kept[i][1]):
                 np.testing.assert_array_equal(t.data, saved)
 
-    def test_pre_norm_needs_a_conv_block(self):
+    def test_resume_needs_a_conv_block(self):
         net = walker_net("chain")
         with pytest.raises(ConfigError, match="block 1 has no conv output"):
-            run_blocks(net, Tensor(np.zeros((2, 4, 8, 8))), "eval", 1, pre_norm=True)
+            run_blocks(net, Tensor(np.zeros((2, 4, 8, 8))), "eval", 1)
 
 
 def _open_residuals(spec, i):
