@@ -497,8 +497,9 @@ def loss(pred: Tensor, target, kind: str, tape: Tape | None = None) -> Tensor:
         tdata = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=pred.dtype)
         if tdata.shape != pred.shape:
             raise ConfigError(f"mse: shape mismatch {pred.shape} vs {tdata.shape}")
-        diff = pred.data - tdata
-        out = Tensor(np.asarray(np.mean(diff * diff, dtype=np.float64), dtype=pred.dtype))
+        with np.errstate(over="ignore"):  # an overflow shows as a non-finite loss
+            diff = pred.data - tdata
+            out = Tensor(np.asarray(np.mean(diff * diff, dtype=np.float64), dtype=pred.dtype))
         _check_finite(out.data, "mse")
         if tape is not None:
 

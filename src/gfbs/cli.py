@@ -3,7 +3,8 @@ and report. Every artifact-producing command writes a manifest.json next
 to its outputs so a run can be reproduced from the directory alone.
 
 Exit codes: 0 success, 2 configuration problems, 3 numeric failures,
-4 malformed files.
+4 malformed files. A nonzero exit prints one ``error:`` line on stderr,
+and each warning one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import datetime as _dt
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -465,14 +471,16 @@ def main(argv=None) -> int:
             parser.error("--sweep-lambda needs --ckpt and --data")
     if args.command == "report" and not args.sweep_lambda and not args.dir:
         parser.error("report needs --dir (or --sweep-lambda with --ckpt/--data)")
-    try:
-        return args.func(args)
-    except GfbsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning  # no source line, as errors print none
+        try:
+            return args.func(args)
+        except GfbsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -298,6 +298,16 @@ class Network:
     def clone(self) -> "Network":
         return from_arrays(self.spec, {n: t.data.copy() for n, t in self.named_tensors().items()})
 
+    def zeroed(self, refs, names: tuple[str, ...]) -> "Network":
+        """A copy in which channel ``ref.channel`` of the named tensors of
+        each ref's block is 0. It shares no array with ``self``, which is
+        never written to: a channel what-if is a copy, not an edit."""
+        out = self.clone()
+        for ref in refs:
+            for name in names:
+                getattr(out.params[ref.layer], name).data[ref.channel] = 0.0
+        return out
+
     def bn_blocks(self) -> list[int]:
         """Indices of blocks carrying batch-norm parameters."""
         return [i for i, b in enumerate(self.spec.blocks) if b.kind in BN_KINDS]

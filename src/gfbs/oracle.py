@@ -2,19 +2,19 @@
 
 The oracle actually removes channels, one coupling group at a time, and
 measures the resulting loss change on a fixed minibatch. Removal is
-simulated by zeroing the group's norm scales: with gamma at zero the
-block's output collapses to its shift, exactly what structural removal
-plus a bias correction would produce, so no surgery is needed per probe.
-A gamma-only edit leaves every block before the group's first block, and
-that block's conv output, as they were, so each probe resumes at that
-conv output and the residual streams open there, as one full pass of
-the probe batch records them.
+simulated on a copy of the network whose group's norm scales are zeroed
+(``Network.zeroed``): with gamma at zero the block's output collapses to
+its shift, exactly what structural removal plus a bias correction would
+produce, so no surgery is needed per probe, and the caller's network is
+never written to. A gamma-only edit leaves every block before the
+group's first block, and that block's conv output, as they were, so each
+probe resumes at that conv output and the residual streams open there,
+as one full pass of the probe batch records them.
 Also here: Spearman rank correlation with average-rank tie handling.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,44 +43,28 @@ def _batch_loss(net: Network, batch_x: np.ndarray, batch_y, loss_kind: str) -> f
     return loss_op(out, batch_y, loss_kind).item()
 
 
-@contextlib.contextmanager
-def _zeroed(net: Network, refs, names: tuple[str, ...]):
-    """Zero channel ``ref.channel`` of the named tensors of each ref's block
-    for the body, and restore the saved values afterwards, also on error."""
-    saved = []
-    try:
-        for ref in refs:
-            for name in names:
-                t = getattr(net.params[ref.layer], name)
-                saved.append((t, ref.channel, t.data[ref.channel].copy()))
-                t.data[ref.channel] = 0.0
-        yield
-    finally:
-        for t, ch, value in reversed(saved):
-            t.data[ch] = value
-
-
 def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
                       loss_kind: str) -> list[OracleRecord]:
     """|loss-with-group-zeroed - base loss| for every prunable group.
 
     The probe batch must be the same one the saliency capture used for
-    the comparison to mean anything. The network is left bit-identical.
+    the comparison to mean anything. Each probe runs on a copy of the
+    network, so ``net`` itself is never written to.
 
     One pass records ``resume``, the conv output and the open residual
-    streams of every conv-kind block. A probe zeroes the group's gammas and
-    resumes at the group's first block, skipping its conv: zeroing gamma
-    changes neither the blocks before it nor its conv, which reads only
-    weight and bias, so every delta is bit-identical to one from a full
-    pass of the edited net. Only the group-start points are held across
-    the probes: the pass's other activations, kept alive among the probes'
-    temporaries, fragment the heap so that each probe faults in fresh
-    pages, which makes the run slower and its time far less steady.
+    streams of every conv-kind block. A probe zeroes the group's gammas in
+    a copy and resumes at the group's first block, skipping its conv:
+    zeroing gamma changes neither the blocks before it nor its conv, which
+    reads only weight and bias, so every delta is bit-identical to one
+    from a full pass of the edited net. Only the group-start points are
+    held across the probes: the pass's other activations, kept alive among
+    the probes' temporaries, fragment the heap so that each probe faults
+    in fresh pages, which makes the run slower and its time far less
+    steady.
     """
     groups = net.spec.groups
     if not groups:
         return []
-    snapshot = {name: t.data.copy() for name, t in net.named_tensors().items()}
     resume = {}
     out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train",
                        update_stats=False, resume=resume)
@@ -91,13 +75,10 @@ def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
     for g in groups:
         start = g.members[0].layer
         pre, stack = resume[start]
-        with _zeroed(net, g.members, ("gamma",)):
-            out = run_blocks(net, pre, "train", start, stack, update_stats=False)
-            delta = abs(loss_op(out, batch_y, loss_kind).item() - base)
+        out = run_blocks(net.zeroed(g.members, ("gamma",)), pre, "train", start, stack,
+                         update_stats=False)
+        delta = abs(loss_op(out, batch_y, loss_kind).item() - base)
         records.append(OracleRecord(group=g.group_id, members=g.members, delta_loss=delta))
-    for name, t in net.named_tensors().items():
-        if not np.array_equal(t.data, snapshot[name]):
-            raise ConfigError(f"oracle probe failed to restore {name}")
     order = sorted(range(len(records)),
                    key=lambda i: (records[i].delta_loss, records[i].group))
     for rank, i in enumerate(order):
@@ -116,10 +97,9 @@ def spot_check_zero_equivalence(net: Network, batch_x: np.ndarray, batch_y,
     """
     worst = 0.0
     for ref in refs:
-        with _zeroed(net, [ref], ("gamma",)):
-            via_gamma = _batch_loss(net, batch_x, batch_y, loss_kind)
-        with _zeroed(net, [ref], ("weight", "bias")):
-            via_filter = _batch_loss(net, batch_x, batch_y, loss_kind)
+        via_gamma = _batch_loss(net.zeroed([ref], ("gamma",)), batch_x, batch_y, loss_kind)
+        via_filter = _batch_loss(net.zeroed([ref], ("weight", "bias")), batch_x, batch_y,
+                                 loss_kind)
         worst = max(worst, abs(via_gamma - via_filter))
     return worst
 

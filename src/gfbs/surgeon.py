@@ -144,18 +144,12 @@ def apply_prune(net: Network, plan: PrunePlan) -> Network:
 
 
 def apply_mask(net: Network, plan: PrunePlan) -> Network:
-    """The masking twin of apply_prune: same network shape, removed
-    channels get W = b = gamma = beta = 0. Useful as a surgery oracle."""
+    """The masking twin of apply_prune: a copy of the same shape whose
+    removed channels get W = b = gamma = beta = 0, ``net`` left as it is.
+    Useful as a surgery oracle."""
     if plan.base_spec != net.spec:
         raise ConfigError("plan was made for a different network spec")
-    masked = net.clone()
-    for ref in plan.removed:
-        p = masked.params[ref.layer]
-        p.weight.data[ref.channel] = 0.0
-        p.bias.data[ref.channel] = 0.0
-        p.gamma.data[ref.channel] = 0.0
-        p.beta.data[ref.channel] = 0.0
-    return masked
+    return net.zeroed(plan.removed, ("weight", "bias", "gamma", "beta"))
 
 
 @dataclass(frozen=True)

@@ -427,6 +427,19 @@ class TestExitCodes:
         assert_one_line_error(out, code)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["saliency", "--ckpt", "{ckpt}", "--data", DATA],
+        ["report", "--sweep-lambda", "--ckpt", "{ckpt}", "--data", DATA, "--lambdas", "0.5",
+         "--epochs", "1"],
+    ], ids=["saliency", "sweep"])
+    def test_factory_default_net_is_one_warning_line(self, tmp_path, argv):
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(build_network(parse_spec(SPEC_TEXT), seed=0), ckpt)
+        out = run_cli(*(a.format(ckpt=ckpt) for a in argv), "--out", tmp_path / "out")
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ("warning: scoring a network with factory-default norm "
+                              "parameters; saliencies will be uninformative\n")
+
     @pytest.mark.filterwarnings("ignore:scoring a network with factory-default")
     @pytest.mark.parametrize("spec, error", [
         (SPEC_TEXT, "spearman undefined for constant input"),

@@ -1,7 +1,8 @@
 """Seeded fuzz of every file reader: flipped, truncated and inserted bytes
 must come back as a GfbsError (or parse), never as any other exception,
 and through the command line as exit 0, 2 or 4 with no traceback. A
-checkpoint whose weights overflow the norm's statistics exits 3."""
+checkpoint whose weights overflow the norm's statistics or the squared
+error exits 3."""
 
 import shutil
 
@@ -197,20 +198,44 @@ def test_mutated_file_through_the_cli(tmp_path, make, argv):
         assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["saliency", "oracle"])
-def test_overflowing_checkpoint_is_one_line_numeric_error(tmp_path, command):
-    """First-conv weights scaled by 1e20 overflow the train-mode batch
-    variance: exit 3 with one error line, no overflow warnings, no --out."""
-    net = build_network(parse_spec(SPEC.replace("linear 3", "linear 10")), seed=0)
+DENOISE_SPEC = ("name dn\ninput 1 8 8\nresidual_begin\n" + "conv_bn_relu 4 3 1 1\n" * 2
+                + "conv 1 3 1 1\nresidual_add\n")
+# case -> (spec, the block whose weights are scaled by 1e20, dataset)
+OVERFLOWS = {
+    "variance": (SPEC.replace("linear 3", "linear 10"), 0, "shapes:n_train=16,n_test=4,size=8"),
+    "mse": (DENOISE_SPEC, 3, "denoise:n_train=16,n_test=4,size=8"),
+}
+MSE_ERROR = "non-finite values produced by mse\n"
+
+
+@pytest.mark.parametrize("command, case, stderr", [
+    pytest.param("saliency", "variance", "error: batchnorm: batch variance is not finite\n",
+                 id="saliency"),
+    pytest.param("oracle", "variance", "error: batchnorm: batch variance is not finite\n",
+                 id="oracle"),
+    pytest.param("eval", "mse", "error: " + MSE_ERROR, id="mse-eval"),
+    pytest.param("saliency", "mse", "error: " + MSE_ERROR, id="mse-saliency"),
+    pytest.param("oracle", "mse", "error: " + MSE_ERROR, id="mse-oracle"),
+    pytest.param("finetune", "mse", "error: divergence at epoch 0 batch 0: " + MSE_ERROR,
+                 id="mse-finetune"),
+])
+def test_overflowing_checkpoint_is_one_line_numeric_error(tmp_path, command, case, stderr):
+    """Weights scaled by 1e20 overflow the train-mode batch variance (first
+    conv of a classifier) or the squared error (last conv of a denoiser):
+    exit 3 with one error line, no overflow warnings, no --out."""
+    spec, block, data = OVERFLOWS[case]
+    net = build_network(parse_spec(spec), seed=0)
     rng = np.random.default_rng(0)
     for i in net.bn_blocks():  # not factory-default, so no untrained-net warning
         c = net.params[i].out_channels
         net.params[i].gamma.data[:] = rng.uniform(0.5, 1.5, c)
         net.params[i].beta.data[:] = rng.normal(0.0, 0.3, c)
-    net.params[0].weight.data *= 1e20
+    net.params[block].weight.data *= 1e20
     save_checkpoint(net, tmp_path / "big.ckpt")
-    out = run_cli(command, "--ckpt", tmp_path / "big.ckpt", "--batch-size", "8",
-                  "--data", "shapes:n_train=16,n_test=4,size=8", "--out", tmp_path / "out")
+    batch = () if command == "eval" else ("--batch-size", "8")
+    out = run_cli(command, "--ckpt", tmp_path / "big.ckpt", *batch, "--data", data,
+                  "--out", tmp_path / "out")
     assert out.returncode == 3, out.stderr
-    assert out.stderr == "error: batchnorm: batch variance is not finite\n"
-    assert not (tmp_path / "out").exists()
+    assert out.stderr == stderr
+    if command != "finetune":  # finetune makes its run directory before it trains
+        assert not (tmp_path / "out").exists()

@@ -183,6 +183,22 @@ class TestBuild:
         twin.params[0].weight.data[:] = 0
         assert not np.allclose(net.params[0].weight.data, 0)
 
+    def test_zeroed_is_a_copy_with_the_named_channels_zero(self):
+        net = walker_net("res")
+        before = {k: v.data.copy() for k, v in net.named_tensors().items()}
+        refs = [ChannelRef(0, 1), ChannelRef(2, 3)]
+        what_if = net.zeroed(refs, ("gamma", "weight"))
+        for name, t in what_if.named_tensors().items():
+            assert not np.shares_memory(t.data, net.named_tensors()[name].data)
+            want = before[name].copy()
+            block, field_name = name[1:].split(".")
+            for ref in refs:
+                if ref.layer == int(block) and field_name in ("gamma", "weight"):
+                    want[ref.channel] = 0.0
+            np.testing.assert_array_equal(t.data, want)
+        for name, t in net.named_tensors().items():
+            np.testing.assert_array_equal(t.data, before[name])
+
     def test_from_arrays_holds_the_arrays_given(self):
         spec = parse_spec(TINY)
         arrays = {n: t.data for n, t in build_network(spec, seed=1, dtype=np.float64)

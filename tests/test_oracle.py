@@ -20,6 +20,8 @@ from gfbs.oracle import (
     spot_check_zero_equivalence,
     write_oracle_csv,
 )
+from gfbs.saliency import PruneConfig, saliency_records
+from gfbs.surgeon import apply_mask, plan_prune
 
 from helpers import WALKER_SPECS, walker_net, walker_probe
 
@@ -223,6 +225,39 @@ class TestResumedProbes:
         net = walker_net("chain")
         with pytest.raises(ConfigError, match="does not match input"):
             oracle_delta_loss(net, np.zeros((4, 1, 8, 8)), np.zeros(4, int), "cross_entropy")
+
+
+class TestWhatIfsAreCopies:
+    """The oracle's probes, the spot check and the mask twin run on copies:
+    on a net whose every array is read-only they give what a writable twin
+    gives, and the twin is left as it was."""
+
+    @pytest.mark.parametrize("name", sorted(WALKER_SPECS))
+    def test_read_only_net_gives_the_writable_twins_results(self, name):
+        net, twin = walker_net(name), walker_net(name)
+        for t in net.named_tensors().values():
+            t.data.flags.writeable = False
+        before = {k: v.data.copy() for k, v in twin.named_tensors().items()}
+        x, y, kind = walker_probe(net, name)
+        refs = [g.members[0] for g in net.spec.groups[::3]]
+        plan = plan_prune(twin, saliency_records(twin, x, y, kind, PruneConfig()),
+                          PruneConfig(tau=0.5, min_keep=1))
+        assert plan.removed
+
+        def results(n):
+            return ([(r.group, r.delta_loss, r.rank) for r in oracle_delta_loss(n, x, y, kind)],
+                    spot_check_zero_equivalence(n, x, y, kind, refs),
+                    {k: t.data for k, t in apply_mask(n, plan).named_tensors().items()})
+
+        (got_deltas, got_worst, got_mask), (want_deltas, want_worst, want_mask) = \
+            results(net), results(twin)
+        assert got_deltas == want_deltas and got_worst == want_worst
+        assert got_mask.keys() == want_mask.keys()
+        for k in want_mask:
+            np.testing.assert_array_equal(got_mask[k], want_mask[k])
+            assert got_mask[k].flags.writeable  # the copy is the caller's to edit
+        for k, v in twin.named_tensors().items():
+            np.testing.assert_array_equal(v.data, before[k])
 
 
 class TestSpearman:
