@@ -79,26 +79,11 @@ class _Params:
 
 
 @dataclass
-class ParamSet(_Params):
-    """Learnable parameters of one Conv+BN unit plus its running statistics."""
+class ConvParams(_Params):
+    """Plain convolution parameters (no normalization attached)."""
 
     weight: Tensor  # [C_out, C_in, k, k]
     bias: Tensor  # [C_out]
-    gamma: Tensor  # [C_out]
-    beta: Tensor  # [C_out]
-    running_mean: Tensor = field(metadata=_BUFFER)  # [C_out]
-    running_var: Tensor = field(metadata=_BUFFER)  # [C_out]
-    eps: ClassVar[float] = 1e-5
-    momentum: ClassVar[float] = 0.1
-
-    def __post_init__(self):
-        c_out = self.weight.shape[0]
-        for name in ("bias", "gamma", "beta", "running_mean", "running_var"):
-            t = getattr(self, name)
-            if t.shape != (c_out,):
-                raise ConfigError(f"{name} must have shape ({c_out},), got {t.shape}")
-        if np.any(self.running_var.data < 0):
-            raise ConfigError("running_var must be non-negative")
 
     @property
     def out_channels(self) -> int:
@@ -106,19 +91,15 @@ class ParamSet(_Params):
 
 
 @dataclass
-class ConvParams(_Params):
-    """Plain convolution parameters (no normalization attached)."""
+class ParamSet(ConvParams):
+    """Learnable parameters of one Conv+BN unit plus its running statistics."""
 
-    weight: Tensor  # [C_out, C_in, k, k]
-    bias: Tensor  # [C_out]
-
-    def __post_init__(self):
-        if self.bias.shape != (self.weight.shape[0],):
-            raise ConfigError("bias length must equal the number of filters")
-
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[0]
+    gamma: Tensor  # [C_out]
+    beta: Tensor  # [C_out]
+    running_mean: Tensor = field(metadata=_BUFFER)  # [C_out]
+    running_var: Tensor = field(metadata=_BUFFER)  # [C_out]
+    eps: ClassVar[float] = 1e-5
+    momentum: ClassVar[float] = 0.1
 
 
 @dataclass
@@ -127,10 +108,6 @@ class LinearParams(_Params):
 
     weight: Tensor
     bias: Tensor
-
-    def __post_init__(self):
-        if self.bias.shape != (self.weight.shape[1],):
-            raise ConfigError("bias length must equal the number of output features")
 
 
 class TapeNode:

@@ -163,13 +163,14 @@ def _add_train_flags(sp) -> None:
 
 def _fit(args, net, data, finetune: bool) -> int:
     """Train or finetune ``net`` with the task's preset: the best checkpoint,
-    metrics.csv, one printed line and the manifest."""
+    metrics.csv, one printed line and the manifest. ``out`` is made only
+    once training ends, so a run that diverges leaves none behind."""
     fit = run_finetune if finetune else run_train
     cfg = _train_config(args, data, finetune)
     out = _outdir(args)
-    out.mkdir(parents=True, exist_ok=True)
     history = fit(net, data, cfg,
                   ckpt_path=out / ("finetuned.ckpt" if finetune else "baseline.ckpt"))
+    out.mkdir(parents=True, exist_ok=True)
     write_metrics(history, out / "metrics.csv")
     final = history[-1]  # train ends with a test pass over the final weights
     label = "finetuned" if finetune else f"trained {net.spec.name}"
@@ -209,6 +210,7 @@ def cmd_oracle(args) -> int:
     scores = group_scores(read_saliency_csv(args.saliency, net.spec), net.spec.groups) \
         if args.saliency else None
     x, y = data.capture_batch(args.batch_size)
+    PruneConfig(batch_size=args.batch_size)  # refuses a probe batch of 1, as saliency does
     records = oracle_delta_loss(net, x, y, data.loss_kind)
     summary: dict = {"groups": len(records)}
 

@@ -262,8 +262,6 @@ class Network:
     """A spec plus one parameter container per block (None for shape ops)."""
 
     def __init__(self, spec: NetworkSpec, params: list):
-        if len(params) != len(spec.blocks):
-            raise ConfigError("one parameter entry per block required")
         self.spec = spec
         self.params = params
 
@@ -290,10 +288,6 @@ class Network:
             for field_name, t in p.tensors().items():
                 out[f"b{i}.{field_name}"] = t
         return out
-
-    def zero_grad(self) -> None:
-        for t in self.parameters():
-            t.grad = None
 
     def clone(self) -> "Network":
         return from_arrays(self.spec, {n: t.data.copy() for n, t in self.named_tensors().items()})
@@ -335,8 +329,9 @@ def _tensor_shapes(spec: NetworkSpec) -> dict[str, tuple]:
 def from_arrays(spec: NetworkSpec, arrays: dict[str, np.ndarray]) -> Network:
     """The network of ``spec`` holding ``arrays``, keyed ``b{i}.{field}`` as
     ``Network.named_tensors`` names them. The arrays are used, not copied,
-    and keep their dtype. A missing, extra or misshapen array, or one the
-    parameter class rejects, is a ConfigError."""
+    and keep their dtype. This is the one check of a network's tensors: a
+    missing, extra or misshapen array, or a negative running variance, is
+    a ConfigError."""
     expected = _tensor_shapes(spec)
     if set(arrays) != set(expected):
         missing = sorted(set(expected) - set(arrays))
@@ -348,11 +343,10 @@ def from_arrays(spec: NetworkSpec, arrays: dict[str, np.ndarray]) -> Network:
     params = []
     for i, (cls, shapes) in enumerate(map(_layout, spec.nodes)):
         named = {n: arrays[f"b{i}.{n}"] for n in shapes}
-        try:
-            params.append(cls(**{n: Tensor(a, dtype=a.dtype) for n, a in named.items()})
-                          if cls else None)
-        except ConfigError as exc:
-            raise ConfigError(f"block {i}: {exc}") from exc
+        if "running_var" in named and np.any(named["running_var"] < 0):
+            raise ConfigError(f"block {i}: running_var must be non-negative")
+        params.append(cls(**{n: Tensor(a, dtype=a.dtype) for n, a in named.items()})
+                      if cls else None)
     return Network(spec, params)
 
 

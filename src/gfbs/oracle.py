@@ -109,18 +109,10 @@ def spot_check_zero_equivalence(net: Network, batch_x: np.ndarray, batch_y,
 
 
 def _average_ranks(values) -> np.ndarray:
-    x = np.asarray(values, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    n = len(x)
-    while i < n:
-        j = i
-        while j + 1 < n and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their ranks."""
+    _, inv, cnt = np.unique(np.asarray(values, dtype=np.float64),
+                            return_inverse=True, return_counts=True)
+    return (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
 
 
 def spearman(a, b) -> float:

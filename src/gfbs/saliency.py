@@ -2,9 +2,10 @@
 
 One train-mode forward/backward on a fixed minibatch captures, for every
 norm-carrying channel, the triple (gamma, dL/dgamma, beta) and the L1 norm
-of its filter. Each layer's four vectors are scaled to unit Euclidean norm
-so channels compete globally on comparable footing, then combined into a
-scalar score:
+of its filter. The probe runs on a copy of the network, so the caller's
+grads and running statistics are never touched. Each layer's four
+vectors are scaled to unit Euclidean norm so channels compete globally
+on comparable footing, then combined into a scalar score:
 
     score = |grad_gamma_n * gamma_n| + lam * beta_n
 
@@ -81,12 +82,11 @@ class SaliencyRecord:
 
 def capture(net: Network, batch_x: np.ndarray, batch_y: np.ndarray,
             loss_kind: str) -> list[SaliencyRecord]:
-    """Probe pass: returns raw per-channel records, network untouched.
+    """Probe pass: returns raw per-channel records.
 
-    Parameters are never updated and running statistics are left exactly
-    as found (the probe normalizes with batch statistics and skips the
-    running-average update). Gradients are consumed internally and
-    cleared before returning.
+    The pass runs on a copy of ``net``, so the caller's parameters,
+    gradients and running statistics are never touched. The probe
+    normalizes with batch statistics and skips the running-average update.
     """
     bn_blocks = net.bn_blocks()
     if not bn_blocks:
@@ -95,10 +95,7 @@ def capture(net: Network, batch_x: np.ndarray, batch_y: np.ndarray,
         warnings.warn("scoring a network with factory-default norm parameters; "
                       "saliencies will be uninformative", stacklevel=2)
 
-    stats_before = {i: (net.params[i].running_mean.data.copy(),
-                        net.params[i].running_var.data.copy())
-                    for i in bn_blocks}
-    net.zero_grad()
+    net = net.clone()
     tape = Tape()
     out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train",
                        tape=tape, update_stats=False)
@@ -120,12 +117,6 @@ def capture(net: Network, batch_x: np.ndarray, batch_y: np.ndarray,
                 gamma=float(g[j]), grad_gamma=float(gg[j]), beta=float(b[j]),
                 weight_l1=float(w_l1[j]), has_relu=has_relu,
                 group=lookup.get(ChannelRef(i, j), -1)))
-    net.zero_grad()
-
-    for i in bn_blocks:
-        if not np.array_equal(net.params[i].running_mean.data, stats_before[i][0]) \
-                or not np.array_equal(net.params[i].running_var.data, stats_before[i][1]):
-            raise ConfigError("probe pass mutated running statistics")
     return records
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -155,7 +156,8 @@ def train(net: Network, data: DatasetHandle, cfg: TrainConfig,
     """SGD/Adam loop with multi-step decay; returns the metrics history.
 
     When ``ckpt_path`` is given, the parameters achieving the best test
-    metric seen so far are saved there (overwritten as the best improves).
+    metric are kept in memory and saved there once, after the last epoch,
+    making its directory; a run that fails writes nothing.
     """
     task = data.task
     kind = cfg.loss or data.loss_kind
@@ -164,7 +166,7 @@ def train(net: Network, data: DatasetHandle, cfg: TrainConfig,
     check_trainable(cfg.batch_size, len(data.x_train))
     opt = _make_optimizer(cfg, net)
     history: list[Metrics] = []
-    best_metric = -math.inf
+    best_metric, best = -math.inf, None
     t0 = time.monotonic()
     for epoch in range(cfg.epochs):
         opt.lr = _lr_at(cfg, epoch)
@@ -192,7 +194,10 @@ def train(net: Network, data: DatasetHandle, cfg: TrainConfig,
             if ev.metric > best_metric:
                 best_metric = ev.metric
                 if ckpt_path is not None:
-                    save_checkpoint(net, ckpt_path)
+                    best = net.clone()
+    if best is not None:
+        Path(ckpt_path).parent.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(best, ckpt_path)
     return history
 
 

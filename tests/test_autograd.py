@@ -588,27 +588,3 @@ class TestSGD:
         p = Tensor(np.array([1.0]))
         with pytest.raises(ConfigError):
             SGD([p], lr=0.1).step()
-
-
-class TestParamSet:
-    def test_shape_validation(self):
-        with pytest.raises(ConfigError):
-            ParamSet(
-                weight=Tensor(rand(4, 2, 3, 3)),
-                bias=Tensor(rand(3)),
-                gamma=Tensor(rand(4)),
-                beta=Tensor(rand(4)),
-                running_mean=Tensor(np.zeros(4)),
-                running_var=Tensor(np.ones(4)),
-            )
-
-    def test_negative_running_var_rejected(self):
-        with pytest.raises(ConfigError):
-            ParamSet(
-                weight=Tensor(rand(2, 1, 3, 3)),
-                bias=Tensor(rand(2)),
-                gamma=Tensor(rand(2)),
-                beta=Tensor(rand(2)),
-                running_mean=Tensor(np.zeros(2)),
-                running_var=Tensor(np.array([-1.0, 1.0])),
-            )

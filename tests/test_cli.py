@@ -413,11 +413,13 @@ class TestExitCodes:
         (["finetune", "--ckpt", "{ckpt}", "--data", DATA, "--epochs", "0"], 2),
         (["saliency", "--ckpt", "{ckpt}", "--data", DATA, "--batch-size", "1"], 2),
         (["oracle", "--ckpt", "{ckpt}", "--data", DATA, "--saliency", "{tmp}/missing.csv"], 2),
+        (["oracle", "--ckpt", "{ckpt}", "--data", DATA, "--batch-size", "1"], 2),
         (["prune", "--ckpt", "{ckpt}", "--saliency", "{sal}", "--tau", "1.5"], 2),
         (["report", "--sweep-lambda", "--ckpt", "{ckpt}", "--data", DATA,
           "--lambdas", "0.1,abc"], 2),
         (["report", "--dir", "{tmp}/run"], 4),  # its plan.json is not a JSON object
-    ], ids=["train", "finetune", "saliency", "oracle", "prune", "sweep", "report"])
+    ], ids=["train", "finetune", "saliency", "oracle", "oracle_batch", "prune", "sweep",
+            "report"])
     def test_refused_input_makes_no_out(self, workdir, saliency_dir, tmp_path, argv, code):
         (tmp_path / "run").mkdir()
         (tmp_path / "run" / "plan.json").write_text("[1, 2]")

@@ -237,5 +237,4 @@ def test_overflowing_checkpoint_is_one_line_numeric_error(tmp_path, command, cas
                   "--out", tmp_path / "out")
     assert out.returncode == 3, out.stderr
     assert out.stderr == stderr
-    if command != "finetune":  # finetune makes its run directory before it trains
-        assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists()

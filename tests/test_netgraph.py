@@ -213,6 +213,7 @@ class TestBuild:
         ("missing", r"missing \['b0.running_var'\]"),
         ("extra", r"extra \['b1.weight'\]"),
         ("misshapen", r"shape mismatch for b3.weight"),
+        ("negative_running_var", r"block 0: running_var must be non-negative"),
     ])
     def test_from_arrays_rejects_a_bad_tensor_set(self, edit, match):
         spec = parse_spec(TINY)
@@ -221,6 +222,8 @@ class TestBuild:
             del arrays["b0.running_var"]
         elif edit == "extra":
             arrays["b1.weight"] = np.zeros(3, np.float32)
+        elif edit == "negative_running_var":
+            arrays["b0.running_var"][1] = -1.0
         else:
             arrays["b3.weight"] = np.zeros((63, 3), np.float32)
         with pytest.raises(ConfigError, match=match):

@@ -259,6 +259,20 @@ class TestWhatIfsAreCopies:
         for k, v in twin.named_tensors().items():
             np.testing.assert_array_equal(v.data, before[k])
 
+    @pytest.mark.parametrize("name", sorted(WALKER_SPECS))
+    def test_saliency_probes_a_copy(self, name):
+        """The probe pass reads a read-only net and leaves its grads alone."""
+        net, twin = walker_net(name), walker_net(name)
+        for t in net.named_tensors().values():
+            t.data.flags.writeable = False
+        gamma = net.params[net.bn_blocks()[0]].gamma
+        sentinel = gamma.grad = np.full(gamma.shape, 7.0, gamma.dtype)
+        x, y, kind = walker_probe(net, name)
+        assert saliency_records(net, x, y, kind, PruneConfig()) == \
+            saliency_records(twin, x, y, kind, PruneConfig())
+        assert gamma.grad is sentinel
+        np.testing.assert_array_equal(sentinel, 7.0)
+
 
 class TestSpearman:
     def test_identical_is_one(self):

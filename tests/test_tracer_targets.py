@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps gfbs functions by name, so a deleted or
-renamed function must fail here, not only in a traced benchmark run."""
+"""The benchmark's tracer wraps gfbs functions by name, and its workloads
+and checks import and call them, so a deleted or renamed name must fail
+here, not only in a benchmark run."""
 
 import importlib
+import inspect
 import runpy
 from pathlib import Path
 
@@ -21,3 +23,15 @@ def test_every_tracer_target_resolves():
     missing = [f"{module}.{attr}" for module, attrs in targets.items() for attr in attrs
                if not callable(_resolve(module, attr))]
     assert not missing, f"tracer targets gone from gfbs: {missing}"
+
+
+def test_benchmark_imports_and_calls_bind(monkeypatch):
+    """The benchmark's modules import, every workload's train settings build
+    a TrainConfig, and the forward_full call its checks make still binds."""
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    for wl in workloads.WORKLOADS.values():
+        workloads.TrainConfig(**wl.base)
+        workloads.TrainConfig(**wl.tune)
+    inspect.signature(checks.forward_full).bind(None, None, "eval", update_stats=False)
