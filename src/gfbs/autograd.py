@@ -10,7 +10,10 @@ intermediate activations alike.
 
 float32 is the working precision; float64 exists for verification
 (finite-difference gradient checks) and is selected by building tensors
-with ``dtype=np.float64``. Mixing precisions in one op is an error.
+with ``dtype=np.float64``. The ops trust their operands' shapes and dtype:
+``netgraph`` checks a network's tensors, one dtype included, in
+``from_arrays``, its geometry when it compiles the spec, and a batch's
+shape and dtype in ``forward_full``.
 """
 
 from __future__ import annotations
@@ -151,13 +154,6 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite values produced by {op}")
 
 
-def _check_same_dtype(op: str, *arrays: np.ndarray) -> None:
-    dt = arrays[0].dtype
-    for a in arrays[1:]:
-        if a.dtype != dt:
-            raise ConfigError(f"{op}: mixed dtypes {dt} and {a.dtype}")
-
-
 def backward(tape: Tape, loss: Tensor) -> None:
     """Propagate d(loss)/dx to every tensor recorded on the tape.
 
@@ -187,12 +183,10 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
     """Columns ``[N, C*k*k, Ho*Wo]``: row ``(c, i, j)`` of sample n holds
     ``x[n, c, i + stride*ho, j + stride*wo]`` over the output grid (ho, wo).
     The copy runs along Wo, and ``W[C_out, C*k*k] @ cols`` is already NCHW."""
-    n, c, h, w = x.shape
+    n, c = x.shape[:2]
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     hp, wp = x.shape[2], x.shape[3]
-    if hp < k or wp < k:
-        raise ConfigError(f"kernel {k} larger than padded input {hp}x{wp}")
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
     win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
@@ -224,21 +218,12 @@ def conv2d(x: Tensor, params, stride: int = 1, padding: int = 0,
     No kernel flipping is performed (the usual deep-learning convention).
     """
     w, b = params.weight, params.bias
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ConfigError("conv2d expects 4-d input and weight")
-    if stride < 1 or padding < 0:
-        raise ConfigError("conv2d needs stride >= 1 and padding >= 0")
     n, c_in, h, wid = x.shape
-    c_out, c_in_w, k, k2 = w.shape
-    if k != k2:
-        raise ConfigError("only square kernels are supported")
-    if c_in != c_in_w:
-        raise ConfigError(f"input has {c_in} channels, weight expects {c_in_w}")
-    _check_same_dtype("conv2d", x.data, w.data, b.data)
-
+    c_out, _, k, _ = w.shape
     cols, ho, wo = _im2col(x.data, k, stride, padding)
     wmat = w.data.reshape(c_out, -1)
-    out = Tensor((np.matmul(wmat, cols) + b.data[:, None]).reshape(n, c_out, ho, wo))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as non-finite output
+        out = Tensor((np.matmul(wmat, cols) + b.data[:, None]).reshape(n, c_out, ho, wo))
     _check_finite(out.data, "conv2d")
 
     if tape is not None:
@@ -269,21 +254,26 @@ def batchnorm(x: Tensor, params: ParamSet, mode: str, tape: Tape | None = None,
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown batchnorm mode {mode!r}")
-    if x.data.ndim != 4:
-        raise ConfigError("batchnorm expects [N,C,H,W] input")
-    n, c, h, w = x.shape
-    if c != params.out_channels:
-        raise ConfigError(f"input has {c} channels, params expect {params.out_channels}")
-    _check_same_dtype("batchnorm", x.data, params.gamma.data)
+    n, _, h, w = x.shape
     gamma, beta = params.gamma, params.beta
+    g4 = gamma.data[None, :, None, None]
     m = n * h * w
-    if mode == "train":
-        if m < 2:
-            raise ConfigError("train-mode batchnorm needs at least 2 values per channel")
-        with np.errstate(over="ignore"):  # an overflow shows as a non-finite variance
+    if mode == "train" and m < 2:
+        raise ConfigError("train-mode batchnorm needs at least 2 values per channel")
+    # an overflow shows as a non-finite variance or output, both checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "train":
             mu = (x.data.sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
             xhat = x.data - mu[None, :, None, None]  # centred here, scaled below
             var = ((xhat * xhat).sum(axis=(2, 3)).sum(axis=0, dtype=np.float64) / m).astype(x.dtype)
+        else:
+            mu = params.running_mean.data.astype(x.dtype)
+            var = params.running_var.data.astype(x.dtype)
+            xhat = x.data - mu[None, :, None, None]
+        inv4 = (1.0 / np.sqrt(var + params.eps))[None, :, None, None]
+        xhat *= inv4
+        out = Tensor(g4 * xhat + beta.data[None, :, None, None])
+    if mode == "train":
         if not np.isfinite(var).all():
             raise NumericError("batchnorm: batch variance is not finite")
         if update_stats:
@@ -292,14 +282,6 @@ def batchnorm(x: Tensor, params: ParamSet, mode: str, tape: Tape | None = None,
             params.running_mean.data += mom * mu.astype(params.running_mean.dtype)
             params.running_var.data *= 1.0 - mom
             params.running_var.data += mom * var.astype(params.running_var.dtype)
-    else:
-        mu = params.running_mean.data.astype(x.dtype)
-        var = params.running_var.data.astype(x.dtype)
-        xhat = x.data - mu[None, :, None, None]
-    g4 = gamma.data[None, :, None, None]
-    inv4 = (1.0 / np.sqrt(var + params.eps))[None, :, None, None]
-    xhat *= inv4
-    out = Tensor(g4 * xhat + beta.data[None, :, None, None])
     _check_finite(out.data, "batchnorm")
 
     if tape is not None:
@@ -336,10 +318,8 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Elementwise sum of two equal-shape tensors (residual joins)."""
-    if a.shape != b.shape:
-        raise ConfigError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    _check_same_dtype("add", a.data, b.data)
-    out = Tensor(a.data + b.data)
+    with np.errstate(over="ignore"):  # an overflow shows as non-finite output
+        out = Tensor(a.data + b.data)
     _check_finite(out.data, "add")
     if tape is not None:
 
@@ -371,13 +351,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, tape: Tape | None = None) -> 
     row-major (i, j) order and routes each output's gradient to the first
     slice equal to its max that no earlier slice claimed, so ties go to the
     first maximal element of the window and backward is deterministic."""
-    if x.data.ndim != 4:
-        raise ConfigError("maxpool2d expects [N,C,H,W] input")
-    if kernel < 1 or stride < 1:
-        raise ConfigError("maxpool2d needs kernel >= 1 and stride >= 1")
-    n, c, h, w = x.shape
-    if h < kernel or w < kernel:
-        raise ConfigError(f"pool kernel {kernel} larger than input {h}x{w}")
+    h, w = x.shape[2:]
     ho, wo = (h - kernel) // stride + 1, (w - kernel) // stride + 1
     xd = x.data
     slices = [np.s_[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
@@ -407,14 +381,8 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, tape: Tape | None = None) -> 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor, tape: Tape | None = None) -> Tensor:
     """Affine map [N,D] @ [D,K] + [K]."""
-    if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise ConfigError("linear expects 2-d input and weight")
-    if x.shape[1] != weight.shape[0]:
-        raise ConfigError(f"linear: input dim {x.shape[1]} vs weight rows {weight.shape[0]}")
-    if bias.shape != (weight.shape[1],):
-        raise ConfigError("linear: bias length must match weight columns")
-    _check_same_dtype("linear", x.data, weight.data, bias.data)
-    out = Tensor(x.data @ weight.data + bias.data)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as non-finite output
+        out = Tensor(x.data @ weight.data + bias.data)
     _check_finite(out.data, "linear")
     if tape is not None:
 
@@ -454,10 +422,11 @@ def loss(pred: Tensor, target, kind: str, tape: Tape | None = None) -> Tensor:
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
             raise ConfigError(f"labels must lie in [0, {k})")
         n = pred.shape[0]
-        z = pred.data - pred.data.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-        logp = z - lse
-        out = Tensor(np.asarray(-logp[np.arange(n), labels].mean(dtype=np.float64), pred.dtype))
+        with np.errstate(over="ignore"):  # an overflow shows as a non-finite loss
+            z = pred.data - pred.data.max(axis=1, keepdims=True)
+            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            out = Tensor(np.asarray(-logp[np.arange(n), labels].mean(dtype=np.float64),
+                                    pred.dtype))
         _check_finite(out.data, "cross_entropy")
         if tape is not None:
             softmax = np.exp(logp)

@@ -210,7 +210,6 @@ def cmd_oracle(args) -> int:
     scores = group_scores(read_saliency_csv(args.saliency, net.spec), net.spec.groups) \
         if args.saliency else None
     x, y = data.capture_batch(args.batch_size)
-    PruneConfig(batch_size=args.batch_size)  # refuses a probe batch of 1, as saliency does
     records = oracle_delta_loss(net, x, y, data.loss_kind)
     summary: dict = {"groups": len(records)}
 

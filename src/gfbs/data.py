@@ -77,10 +77,11 @@ class DatasetHandle:
             yield self.x_test[start:start + batch_size], self.y_test[start:start + batch_size]
 
     def capture_batch(self, m: int):
-        """The fixed probe minibatch shared by saliency and oracle runs."""
+        """The fixed probe minibatch shared by saliency and oracle runs; a
+        probe is a train-mode pass, so it needs 2 samples."""
         n = len(self.x_train)
-        if not 1 <= m <= n:
-            raise ConfigError(f"capture batch must lie in [1, {n}] (the train size), got {m}")
+        if not 2 <= m <= n:
+            raise ConfigError(f"capture batch must lie in [2, {n}] (the train size), got {m}")
         idx = _rng(self.seed, _CAPTURE).permutation(n)[:m]
         idx.sort()
         return self.x_train[idx], self.y_train[idx]

@@ -320,28 +320,32 @@ def _layout(node: Node) -> tuple[type | None, dict[str, tuple]]:
     return cls, {f.name: weight if f.name == "weight" else (b.channels,) for f in fields(cls)}
 
 
-def _tensor_shapes(spec: NetworkSpec) -> dict[str, tuple]:
-    """``b{i}.{field}`` -> shape of every tensor ``spec`` holds."""
-    return {f"b{node.index}.{name}": shape for node in spec.nodes
-            for name, shape in _layout(node)[1].items()}
+def _tensor_shapes(layouts) -> dict[str, tuple]:
+    """``b{i}.{field}`` -> shape of every tensor in block i's ``_layout``."""
+    return {f"b{i}.{name}": shape for i, (_, shapes) in enumerate(layouts)
+            for name, shape in shapes.items()}
 
 
 def from_arrays(spec: NetworkSpec, arrays: dict[str, np.ndarray]) -> Network:
     """The network of ``spec`` holding ``arrays``, keyed ``b{i}.{field}`` as
     ``Network.named_tensors`` names them. The arrays are used, not copied,
     and keep their dtype. This is the one check of a network's tensors: a
-    missing, extra or misshapen array, or a negative running variance, is
-    a ConfigError."""
-    expected = _tensor_shapes(spec)
+    missing, extra or misshapen array, arrays of more than one dtype, or a
+    negative running variance, is a ConfigError."""
+    layouts = [_layout(node) for node in spec.nodes]
+    expected = _tensor_shapes(layouts)
     if set(arrays) != set(expected):
         missing = sorted(set(expected) - set(arrays))
         extra = sorted(set(arrays) - set(expected))
         raise ConfigError(f"tensor set mismatch: missing {missing}, extra {extra}")
+    dtypes = sorted({a.dtype.name for a in arrays.values()})
+    if len(dtypes) > 1:
+        raise ConfigError(f"tensor set mixes dtypes {' and '.join(dtypes)}")
     for name, shape in expected.items():
         if arrays[name].shape != shape:
             raise ConfigError(f"shape mismatch for {name}: {arrays[name].shape} vs spec {shape}")
     params = []
-    for i, (cls, shapes) in enumerate(map(_layout, spec.nodes)):
+    for i, (cls, shapes) in enumerate(layouts):
         named = {n: arrays[f"b{i}.{n}"] for n in shapes}
         if "running_var" in named and np.any(named["running_var"] < 0):
             raise ConfigError(f"block {i}: running_var must be non-negative")
@@ -368,10 +372,12 @@ def build_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network
 
 def forward_full(net: Network, batch: Tensor, mode: str, tape: Tape | None = None,
                  update_stats: bool = True, resume: dict | None = None) -> Tensor:
-    """Run the whole network on ``batch`` (see ``run_blocks`` for ``resume``)."""
-    if batch.data.ndim != 4 or batch.shape[1:] != net.spec.input_shape:
-        raise ConfigError(
-            f"batch shape {batch.shape} does not match input {net.spec.input_shape}")
+    """Run the whole network on ``batch`` (see ``run_blocks`` for ``resume``).
+    A batch whose shape or dtype is not the network's is a ConfigError."""
+    if (batch.data.ndim != 4 or batch.shape[1:] != net.spec.input_shape
+            or batch.dtype != net.dtype):
+        raise ConfigError(f"batch {batch.dtype.name} {batch.shape} does not match input "
+                          f"{net.dtype.name} {net.spec.input_shape}")
     return run_blocks(net, batch, mode, tape=tape, update_stats=update_stats, resume=resume)
 
 
@@ -530,7 +536,7 @@ def load_checkpoint(path) -> Network:
         except UnicodeDecodeError as exc:
             raise FormatError("checkpoint spec text is not valid UTF-8") from exc
         spec = parse_spec(spec_text)
-        expected = _tensor_shapes(spec)
+        expected = _tensor_shapes(map(_layout, spec.nodes))
         file_size = os.fstat(fh.fileno()).st_size
         loaded: dict[str, np.ndarray] = {}
         while True:
@@ -552,8 +558,6 @@ def load_checkpoint(path) -> Network:
             if tag not in _TAG_DTYPES:
                 raise FormatError(f"unknown dtype tag {tag} for {name}")
             dtype = _TAG_DTYPES[tag]
-            if loaded and dtype != next(iter(loaded.values())).dtype:
-                raise FormatError(f"checkpoint mixes dtypes: {name} is {dtype.name}")
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims"))
             if dims != expected[name]:
                 raise FormatError(f"checkpoint declares {name} as {dims}, "

@@ -160,9 +160,10 @@ def train(net: Network, data: DatasetHandle, cfg: TrainConfig,
     making its directory; a run that fails writes nothing.
     """
     task = data.task
-    kind = cfg.loss or data.loss_kind
-    if task == "denoise" and kind == "cross_entropy":
-        raise ConfigError("cross_entropy loss cannot train a denoiser")
+    if cfg.loss not in (None, data.loss_kind):
+        raise ConfigError(f"loss {cfg.loss} does not fit the {task} task, "
+                          f"whose loss is {data.loss_kind}")
+    kind = data.loss_kind
     check_trainable(cfg.batch_size, len(data.x_train))
     opt = _make_optimizer(cfg, net)
     history: list[Metrics] = []

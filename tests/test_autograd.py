@@ -84,12 +84,6 @@ class TestConv2d:
         assert conv2d(x, p, stride=2, padding=1).shape == (1, 5, 4, 4)
         assert conv2d(x, p, stride=1, padding=0).shape == (1, 5, 6, 6)
 
-    def test_channel_mismatch_raises(self):
-        x = Tensor(rand(1, 3, 4, 4))
-        p = ConvParams(Tensor(rand(2, 4, 3, 3)), Tensor(rand(2)))
-        with pytest.raises(ConfigError):
-            conv2d(x, p)
-
     def test_gradcheck(self):
         x0 = rand(2, 2, 5, 5)
         w0 = rand(3, 2, 3, 3, scale=0.5)
@@ -249,10 +243,6 @@ class TestPointwise:
             return loss(add(ts[0], ts[1], tape=tape), t0, "mse", tape=tape)
 
         gradcheck(build, [a0, b0])
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            add(Tensor(rand(2, 3)), Tensor(rand(3, 2)))
 
     def test_reduce_sum(self):
         x0 = rand(3, 4)
@@ -521,6 +511,101 @@ class TestLinearAndLoss:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             loss(Tensor(np.zeros((1, 2))), np.array([0]), "hinge")
+
+
+# ---------------------------------------------------------------------------
+# forward magnitude sweep
+
+_SW = np.random.default_rng(11)
+CONV_W, CONV_B = _SW.standard_normal((4, 3, 3, 3)) * 0.3, _SW.standard_normal(4) * 0.1
+LIN_W, LIN_B = _SW.standard_normal((108, 5)) * 0.5, _SW.standard_normal(5) * 0.1
+BN_STATE = (np.zeros((3, 1, 1, 1)), np.zeros(3), _SW.uniform(0.5, 1.5, 3),  # weight, bias, gamma
+            _SW.standard_normal(3) * 0.1, _SW.standard_normal(3) * 0.1,  # beta, running mean
+            _SW.uniform(0.5, 2.0, 3))  # running var
+CE_LABELS = np.arange(72) % 6
+SWEEP_RTOL = {np.float32: 1e-4, np.float64: 1e-10}
+
+
+def _bn_run(mode):
+    def run(x, y, s):
+        p = ParamSet(*(Tensor(a, dtype=x.dtype) for a in BN_STATE))
+        return batchnorm(Tensor(x, dtype=x.dtype), p, mode, update_stats=False).data
+    return run
+
+
+def _bn_train_ref(x, y, s):
+    """Peak-scaled: with u = x / s, (x - mean x) / sqrt(var x + eps) is
+    (u - mean u) / sqrt(var u + eps / s^2), which stays in range."""
+    _, _, gamma, beta, _, _ = (a.reshape(-1, 1, 1) for a in BN_STATE)
+    u = x / s
+    var = u.var(axis=(0, 2, 3), keepdims=True) + ParamSet.eps / s / s
+    return gamma * (u - u.mean(axis=(0, 2, 3), keepdims=True)) / np.sqrt(var) + beta
+
+
+def _bn_eval_ref(x, y, s):
+    _, _, gamma, beta, mean, var = (a.reshape(-1, 1, 1) for a in BN_STATE)
+    return gamma * (x - mean) / np.sqrt(var + ParamSet.eps) + beta
+
+
+def _ce_ref(x, y, s):
+    z = x.reshape(-1, 6)
+    m = z.max(axis=1)
+    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+    return np.mean(lse - z[np.arange(len(z)), CE_LABELS])
+
+
+def _scaled(run):
+    """Reference of an op that commutes with scaling (additive parameters
+    scale with ``s``): s * op(x / s), run in float64 at unit magnitude."""
+    return run, lambda x, y, s: s * run(x / s, y / s, 1.0)
+
+
+# op -> (run(x, y, s) in x's dtype, float64 reference(x, y, s)); x and y
+# peak at magnitude s, and biases are scaled by s
+SWEEP = {
+    "conv2d": _scaled(lambda x, y, s: conv2d(Tensor(x, dtype=x.dtype), ConvParams(
+        Tensor(CONV_W, dtype=x.dtype), Tensor(CONV_B * s, dtype=x.dtype)), padding=1).data),
+    "batchnorm_train": (_bn_run("train"), _bn_train_ref),
+    "batchnorm_eval": (_bn_run("eval"), _bn_eval_ref),
+    "relu": _scaled(lambda x, y, s: relu(Tensor(x, dtype=x.dtype)).data),
+    "maxpool2d": _scaled(lambda x, y, s: maxpool2d(Tensor(x, dtype=x.dtype), 2, 2).data),
+    "add": _scaled(lambda x, y, s: add(Tensor(x, dtype=x.dtype), Tensor(y, dtype=x.dtype)).data),
+    "flatten": _scaled(lambda x, y, s: flatten(Tensor(x, dtype=x.dtype)).data),
+    "linear": _scaled(lambda x, y, s: linear(
+        Tensor(x.reshape(len(x), -1), dtype=x.dtype), Tensor(LIN_W, dtype=x.dtype),
+        Tensor(LIN_B * s, dtype=x.dtype)).data),
+    "cross_entropy": (lambda x, y, s: loss(Tensor(x.reshape(-1, 6), dtype=x.dtype), CE_LABELS,
+                                           "cross_entropy").data, _ce_ref),
+    "mse": (lambda x, y, s: loss(Tensor(x, dtype=x.dtype), y, "mse").data,
+            lambda x, y, s: s * (s * np.mean((x / s - y / s) ** 2))),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", list(SWEEP))
+def test_forward_magnitude_sweep(op, dtype):
+    """From 1e-30 up to the dtype's largest finite value, every forward op
+    either matches its float64 reference to SWEEP_RTOL of the reference's
+    peak (plus the dtype's smallest normal, for what underflows) or raises
+    NumericError. A finite wrong answer fails, and so does any NumPy
+    warning on the way (pytest turns a RuntimeWarning into an error)."""
+    run, reference = SWEEP[op]
+    rng = np.random.default_rng(5)
+    u, v = (rng.standard_normal((4, 3, 6, 6)) for _ in range(2))
+    u, v = u / np.abs(u).max(), v / np.abs(v).max()
+    top, tiny = float(np.finfo(dtype).max), float(np.finfo(dtype).tiny)
+    for s in [10.0 ** e for e in range(-30, int(np.log10(top)) + 1, 4)] + [top]:
+        x, y = (u * s).astype(dtype), (v * s).astype(dtype)
+        with np.errstate(over="ignore", invalid="ignore"):  # a true answer may overflow
+            want = reference(x.astype(np.float64), y.astype(np.float64), s)
+        try:
+            got = run(x, y, s)
+        except NumericError:
+            continue
+        assert got.dtype == dtype
+        assert np.isfinite(want).all(), f"{op} at {s:g}: finite output, overflowing answer"
+        err = np.abs(got - want).max()
+        assert err <= SWEEP_RTOL[dtype] * np.abs(want).max() + tiny, f"{op} at {s:g}: {err:g}"
 
 
 class TestTapeSemantics:

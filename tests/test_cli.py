@@ -395,6 +395,16 @@ class TestExitCodes:
         assert_one_line_error(out, 2)
         assert not (tmp_path / "out" / "baseline.ckpt").exists()
 
+    def test_loss_of_another_task_is_refused_before_training(self, workdir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"loss": "mse"}')
+        out = run_cli("train", "--spec", workdir / "net.spec", "--data", DATA,
+                      "--config", cfg, "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+        assert "loss mse does not fit the classify task, whose loss is cross_entropy" \
+            in out.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [
         ["--data", DATA, "--lr", "nan"],
         ["--data", "denoise:n_train=16,n_test=4,size=12,sigma=nan"],
@@ -527,10 +537,12 @@ class TestExitCodes:
         assert f"twice.csv:{len(lines) + 1}: repeated row for channel 0 of block 0" in out.stderr
 
     def test_probe_batch_below_one_is_config_error(self, workdir, tmp_path):
-        out = run_cli("oracle", "--ckpt", workdir / "train" / "baseline.ckpt", "--data", DATA,
-                      "--batch-size", "-1", "--out", tmp_path / "out")
-        assert_one_line_error(out, 2)
-        assert "capture batch must lie in [1, 192] (the train size), got -1" in out.stderr
+        for m in ("1", "-1"):  # one rule, one message
+            out = run_cli("oracle", "--ckpt", workdir / "train" / "baseline.ckpt", "--data", DATA,
+                          "--batch-size", m, "--out", tmp_path / "out")
+            assert_one_line_error(out, 2)
+            assert out.stderr == f"error: capture batch must lie in [2, 192] (the train size), " \
+                f"got {m}\n"
 
     @pytest.mark.parametrize("argv", [
         ["train", "--spec", "net.spec", "--data", DATA, "--preset", "classify"],

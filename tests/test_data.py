@@ -84,10 +84,10 @@ class TestBatches:
         with pytest.raises(ConfigError):
             ds.capture_batch(11)
 
-    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize("m", [1, 0, -1])
     def test_capture_below_one(self, m):
         ds = gen_shapes_dataset(8, 4, seed=0)
-        with pytest.raises(ConfigError, match=rf"must lie in \[1, 8\] \(the train size\), "
+        with pytest.raises(ConfigError, match=rf"must lie in \[2, 8\] \(the train size\), "
                                               rf"got {m}$"):
             ds.capture_batch(m)
 

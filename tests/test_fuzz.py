@@ -1,8 +1,8 @@
 """Seeded fuzz of every file reader: flipped, truncated and inserted bytes
 must come back as a GfbsError (or parse), never as any other exception,
 and through the command line as exit 0, 2 or 4 with no traceback. A
-checkpoint whose weights overflow the norm's statistics or the squared
-error exits 3."""
+checkpoint whose weights overflow the norm's statistics, the linear head
+or the squared error exits 3."""
 
 import shutil
 
@@ -200,10 +200,13 @@ def test_mutated_file_through_the_cli(tmp_path, make, argv):
 
 DENOISE_SPEC = ("name dn\ninput 1 8 8\nresidual_begin\n" + "conv_bn_relu 4 3 1 1\n" * 2
                 + "conv 1 3 1 1\nresidual_add\n")
-# case -> (spec, the block whose weights are scaled by 1e20, dataset)
+CLASSIFY_SPEC = "name cl\ninput 1 8 8\nconv_bn_relu 4 3 1 1\npool 0 2 2 0\nflatten\nlinear 10\n"
+SHAPES = "shapes:n_train=16,n_test=4,size=8"
+# case -> (spec, the block whose weights are scaled, the scale, dataset)
 OVERFLOWS = {
-    "variance": (SPEC.replace("linear 3", "linear 10"), 0, "shapes:n_train=16,n_test=4,size=8"),
-    "mse": (DENOISE_SPEC, 3, "denoise:n_train=16,n_test=4,size=8"),
+    "variance": (SPEC.replace("linear 3", "linear 10"), 0, 1e20, SHAPES),
+    "linear": (CLASSIFY_SPEC, 3, 1e38, SHAPES),
+    "mse": (DENOISE_SPEC, 3, 1e20, "denoise:n_train=16,n_test=4,size=8"),
 }
 MSE_ERROR = "non-finite values produced by mse\n"
 
@@ -213,6 +216,8 @@ MSE_ERROR = "non-finite values produced by mse\n"
                  id="saliency"),
     pytest.param("oracle", "variance", "error: batchnorm: batch variance is not finite\n",
                  id="oracle"),
+    pytest.param("saliency", "linear", "error: non-finite values produced by linear\n",
+                 id="linear-saliency"),
     pytest.param("eval", "mse", "error: " + MSE_ERROR, id="mse-eval"),
     pytest.param("saliency", "mse", "error: " + MSE_ERROR, id="mse-saliency"),
     pytest.param("oracle", "mse", "error: " + MSE_ERROR, id="mse-oracle"),
@@ -221,16 +226,17 @@ MSE_ERROR = "non-finite values produced by mse\n"
 ])
 def test_overflowing_checkpoint_is_one_line_numeric_error(tmp_path, command, case, stderr):
     """Weights scaled by 1e20 overflow the train-mode batch variance (first
-    conv of a classifier) or the squared error (last conv of a denoiser):
-    exit 3 with one error line, no overflow warnings, no --out."""
-    spec, block, data = OVERFLOWS[case]
+    conv of a classifier) or the squared error (last conv of a denoiser),
+    and by 1e38 a classifier's linear head: exit 3 with one error line, no
+    overflow warnings, no --out."""
+    spec, block, scale, data = OVERFLOWS[case]
     net = build_network(parse_spec(spec), seed=0)
     rng = np.random.default_rng(0)
     for i in net.bn_blocks():  # not factory-default, so no untrained-net warning
         c = net.params[i].out_channels
         net.params[i].gamma.data[:] = rng.uniform(0.5, 1.5, c)
         net.params[i].beta.data[:] = rng.normal(0.0, 0.3, c)
-    net.params[block].weight.data *= 1e20
+    net.params[block].weight.data *= scale
     save_checkpoint(net, tmp_path / "big.ckpt")
     batch = () if command == "eval" else ("--batch-size", "8")
     out = run_cli(command, "--ckpt", tmp_path / "big.ckpt", *batch, "--data", data,

@@ -214,6 +214,7 @@ class TestBuild:
         ("extra", r"extra \['b1.weight'\]"),
         ("misshapen", r"shape mismatch for b3.weight"),
         ("negative_running_var", r"block 0: running_var must be non-negative"),
+        ("mixed_dtypes", r"tensor set mixes dtypes float32 and float64"),
     ])
     def test_from_arrays_rejects_a_bad_tensor_set(self, edit, match):
         spec = parse_spec(TINY)
@@ -224,6 +225,8 @@ class TestBuild:
             arrays["b1.weight"] = np.zeros(3, np.float32)
         elif edit == "negative_running_var":
             arrays["b0.running_var"][1] = -1.0
+        elif edit == "mixed_dtypes":
+            arrays["b0.gamma"] = arrays["b0.gamma"].astype(np.float64)
         else:
             arrays["b3.weight"] = np.zeros((63, 3), np.float32)
         with pytest.raises(ConfigError, match=match):
@@ -283,6 +286,12 @@ class TestForward:
         net = build_network(parse_spec(TINY), seed=0)
         with pytest.raises(ConfigError):
             forward_full(net, Tensor(np.zeros((1, 3, 8, 8), np.float32)), "eval")
+
+    def test_batch_of_another_dtype_raises(self):
+        net = build_network(parse_spec(TINY), seed=0, dtype=np.float64)
+        with pytest.raises(ConfigError, match=r"batch float32 \(1, 2, 8, 8\) does not match "
+                                              r"input float64 \(2, 8, 8\)"):
+            forward_full(net, Tensor(np.zeros((1, 2, 8, 8), np.float32)), "eval")
 
 
 class TestBlockWalker:
