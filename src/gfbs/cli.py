@@ -2,9 +2,9 @@
 and report. Every artifact-producing command writes a manifest.json next
 to its outputs so a run can be reproduced from the directory alone.
 
-Exit codes: 0 success, 2 configuration problems, 3 numeric failures,
-4 malformed files. A nonzero exit prints one ``error:`` line on stderr,
-and each warning one ``warning:`` line.
+Exit codes: 0 success, 2 configuration problems (running out of memory
+included), 3 numeric failures, 4 malformed files. A nonzero exit prints
+one ``error:`` line on stderr, and each warning one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -481,6 +481,9 @@ def main(argv=None) -> int:
             return exc.exit_code
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:  # a legal spec at a batch too large for this host
+            print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
             return 2
 
 

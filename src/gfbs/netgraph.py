@@ -51,6 +51,12 @@ BN_KINDS = ("conv_bn_relu", "conv_bn")
 ARITY = {**dict.fromkeys(CONV_KINDS, 4), "residual_begin": 0, "residual_add": 0,
          "pool": 4, "flatten": 0, "linear": 1}
 
+# The size limit of one block: its channels (or features), and the elements
+# of its output per sample and of its weight. It admits any net this CPU
+# toolkit can train and keeps a short spec from asking for unbounded memory.
+MAX_WIDTH = 1 << 20
+MAX_ELEMENTS = 1 << 26
+
 CKPT_MAGIC = b"GFBS"
 CKPT_VERSION = 1
 
@@ -66,6 +72,11 @@ class BlockSpec:
     def __post_init__(self):
         if self.kind not in ARITY:
             raise ConfigError(f"unknown block kind {self.kind!r}")
+
+
+class SizeLimitError(ConfigError):
+    """A well-formed spec over the size limit: a configuration problem,
+    never a malformed file."""
 
 
 @dataclass(frozen=True)
@@ -133,13 +144,18 @@ def _compile(spec: NetworkSpec) -> tuple[Node, ...]:
     FLOPs and bias adds are counted. Per block: conv = 2*H'*W'*C_out*k^2*C_in
     + H'*W'*C_out, linear = 2*D*K + K, batch norm = 2 per element, ReLU = 1
     per element, pool = k^2 per output element, residual add = 1 per
-    element, flatten free."""
+    element, flatten free.
+
+    The input, and each block, must stay within ``MAX_WIDTH`` channels or
+    features and ``MAX_ELEMENTS`` elements per sample and per weight; the
+    first that does not is a SizeLimitError naming it."""
     shape: tuple = spec.input_shape
+    _check_size("input", spec.in_channels, math.prod(shape))
     src = -1
     stack: list[tuple[tuple, int]] = []
     nodes: list[Node] = []
     for i, b in enumerate(spec.blocks):
-        in_shape, skip_src, flops, detail = shape, None, 0, ""
+        in_shape, skip_src, flops, detail, weight = shape, None, 0, "", 0
         if len(shape) == 1 and b.kind != "linear":
             raise ConfigError(f"block {i}: only linear blocks may follow flatten")
         if b.kind in CONV_KINDS:
@@ -151,6 +167,7 @@ def _compile(spec: NetworkSpec) -> tuple[Node, ...]:
             if ho < 1 or wo < 1:
                 raise ConfigError(f"block {i}: conv output collapses to {ho}x{wo}")
             shape = (b.channels, ho, wo)
+            weight = b.channels * c * b.kernel * b.kernel
             elems = b.channels * ho * wo
             flops = (2 * b.kernel * b.kernel * c + 1) * elems  # conv and bias
             flops += (2 * (b.kind in BN_KINDS) + (b.kind == "conv_bn_relu")) * elems  # norm, ReLU
@@ -185,13 +202,21 @@ def _compile(spec: NetworkSpec) -> tuple[Node, ...]:
             if b.channels < 1:
                 raise ConfigError(f"block {i}: linear needs >= 1 output features")
             flops, detail = (2 * shape[0] + 1) * b.channels, f"{shape[0]}->{b.channels}"
+            weight = shape[0] * b.channels
             shape = (b.channels,)
+        _check_size(f"block {i} ({b.kind})", b.channels, max(math.prod(shape), weight))
         nodes.append(Node(i, b, in_shape, shape, src, skip_src, flops, detail))
         if b.kind in CONV_KINDS:
             src = i
     if stack:
         raise ConfigError("unmatched residual_begin")
     return tuple(nodes)
+
+
+def _check_size(what: str, width: int, elements: int) -> None:
+    if width > MAX_WIDTH or elements > MAX_ELEMENTS:
+        raise SizeLimitError(f"{what} exceeds the size limit of {MAX_WIDTH} channels "
+                             f"and {MAX_ELEMENTS} elements per sample or weight")
 
 
 def infer_shapes(spec: NetworkSpec) -> list[tuple]:
@@ -242,6 +267,8 @@ def parse_spec(text: str) -> NetworkSpec:
         raise FormatError("spec has no blocks")
     try:
         return NetworkSpec(name, header[0], header[1], header[2], tuple(blocks))
+    except SizeLimitError:
+        raise
     except ConfigError as exc:
         raise FormatError(f"invalid spec: {exc}") from exc
 
@@ -387,13 +414,13 @@ def run_blocks(net: Network, x: Tensor, mode: str, start: int | None = None, sta
     """Run the network's blocks, the one block walker.
 
     With ``start`` None, ``x`` is the network input and every block runs.
-    Otherwise ``x`` is the conv output of conv-kind block ``start`` and
-    ``stack`` the residual streams open there, as ``resume[start]`` of an
-    earlier pass records them: that conv is skipped and the walk goes on
-    from its norm. ``resume``, when given, collects ``(conv output, open
-    residual streams)`` as ``resume[i]`` for every conv-kind block i run."""
-    if start is not None and net.spec.blocks[start].kind not in CONV_KINDS:
-        raise ConfigError(f"block {start} has no conv output to resume from")
+    Otherwise the walk starts at block ``start`` with ``stack`` the
+    residual streams open there. If that block is conv-kind, ``x`` is its
+    conv output, as ``resume[start]`` of an earlier pass records it: that
+    conv is skipped and the walk goes on from its norm. Any other block
+    (or ``start`` equal to the block count) takes ``x`` as its input.
+    ``resume``, when given, collects ``(conv output, open residual
+    streams)`` as ``resume[i]`` for every conv-kind block i run."""
     stack = list(stack)
     for i in range(start or 0, len(net.spec.blocks)):
         b, p = net.spec.blocks[i], net.params[i]

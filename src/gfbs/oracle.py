@@ -2,26 +2,42 @@
 
 The oracle actually removes channels, one coupling group at a time, and
 measures the resulting loss change on a fixed minibatch. Removal is
-simulated on a copy of the network whose group's norm scales are zeroed
-(``Network.zeroed``): with gamma at zero the block's output collapses to
-its shift, exactly what structural removal plus a bias correction would
-produce, so no surgery is needed per probe, and the caller's network is
-never written to. A gamma-only edit leaves every block before the
-group's first block, and that block's conv output, as they were, so each
-probe resumes at that conv output and the residual streams open there,
-as one full pass of the probe batch records them.
+simulated by zeroing the group's norm scales: with gamma at zero a
+channel's block output collapses to its shift, exactly what structural
+removal plus a bias correction would produce, so no surgery is needed
+per probe, and the caller's network is never written to. A gamma-only
+edit leaves every block before the group's first block, and that
+block's conv output, as they were, so no probe reruns them: one full
+pass of the probe batch records, at each conv block, the conv output
+and the residual streams open there.
+
+A one-member group, channel c of block s, is patched rather than
+recomputed. Its channel of block s's output is the constant shift
+(through the ReLU if one follows), and every other channel is the
+unedited one, so block s's base output is normed once and the probe
+only overwrites channel c. Max pooling maps a constant channel to the
+same constant, so the patch passes through pools unchanged. If a conv
+block t comes next, its conv output is the base one plus channel c's
+change convolved with t's weights for that one input channel; the walk
+resumes at t's norm. Otherwise it resumes at the first non-pool block
+from the patched output. A group with several members, which sit in
+different blocks, runs on a copy of the network with its gammas zeroed
+(``Network.zeroed``), resumed at its first block's conv output.
+
 Also here: Spearman rank correlation with average-rank tie handling.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, loss as loss_op
+from .autograd import ConvParams, Tensor, batchnorm, conv2d, loss as loss_op, maxpool2d, relu
 from .errors import ConfigError, write_csv
 from .netgraph import (
+    CONV_KINDS,
     ChannelRef,
     Network,
     forward_full,
@@ -43,21 +59,64 @@ def _batch_loss(net: Network, batch_x: np.ndarray, batch_y, loss_kind: str) -> f
     return loss_op(out, batch_y, loss_kind).item()
 
 
+def _after_pools(net: Network, s: int) -> int:
+    """The first block after block ``s`` that is not a pool (or the block count)."""
+    t = s + 1
+    while t < len(net.spec.blocks) and net.spec.blocks[t].kind == "pool":
+        t += 1
+    return t
+
+
+def _patched_probes(net: Network, resume: dict, s: int):
+    """Channel c -> the network output with gamma_c of block ``s`` zeroed,
+    from block s's base output (``resume[s]`` normed on the unedited net)
+    with channel c overwritten, as the module docstring describes."""
+    blocks, p = net.spec.blocks, net.params[s]
+    pre, stack = resume[s]
+    y = batchnorm(pre, p, "train", update_stats=False)
+    shift = p.beta.data
+    if blocks[s].kind == "conv_bn_relu":
+        y, shift = relu(y), np.maximum(shift, 0)
+    t = _after_pools(net, s)
+    for b in blocks[s + 1:t]:
+        y = maxpool2d(y, b.kernel, b.stride)
+    base = y.data
+    if t < len(blocks) and blocks[t].kind in CONV_KINDS:
+        pre_t, stack_t = resume[t]
+        conv_t, w = blocks[t], net.params[t].weight.data
+        zero_bias = Tensor(np.zeros(w.shape[0], w.dtype))
+
+        def probe(c: int) -> Tensor:
+            change = conv2d(Tensor(shift[c] - base[:, c:c + 1]),
+                            ConvParams(Tensor(w[:, c:c + 1]), zero_bias),
+                            stride=conv_t.stride, padding=conv_t.padding)
+            return run_blocks(net, Tensor(pre_t.data + change.data), "train", t, stack_t,
+                              update_stats=False)
+    else:
+
+        def probe(c: int) -> Tensor:
+            x = base.copy()
+            x[:, c] = shift[c]
+            return run_blocks(net, Tensor(x), "train", t, stack, update_stats=False)
+    return probe
+
+
 def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
                       loss_kind: str) -> list[OracleRecord]:
     """|loss-with-group-zeroed - base loss| for every prunable group.
 
     The probe batch must be the same one the saliency capture used for
-    the comparison to mean anything. Each probe runs on a copy of the
-    network, so ``net`` itself is never written to.
+    the comparison to mean anything. ``net`` itself is never written to.
 
     One pass records ``resume``, the conv output and the open residual
-    streams of every conv-kind block. A probe zeroes the group's gammas in
-    a copy and resumes at the group's first block, skipping its conv:
-    zeroing gamma changes neither the blocks before it nor its conv, which
-    reads only weight and bias, so every delta is bit-identical to one
-    from a full pass of the edited net. Only the group-start points are
-    held across the probes: the pass's other activations, kept alive among
+    streams of every conv-kind block. The groups of one start block come
+    in a row, so its entry is dropped once they are probed. One-member
+    groups are patched (see the module docstring) and copy no network;
+    their deltas equal a full pass's bit for bit, except where a delta
+    conv sums in another order, within float rounding. Multi-member
+    groups are bit-identical. Only what the probes read is held across
+    them: the start and delta-conv entries of ``resume`` and one start
+    block's base output. The pass's other activations, kept alive among
     the probes' temporaries, fragment the heap so that each probe faults
     in fresh pages, which makes the run slower and its time far less
     steady.
@@ -69,16 +128,26 @@ def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
     out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train",
                        update_stats=False, resume=resume)
     base = loss_op(out, batch_y, loss_kind).item()
-    resume = {g.members[0].layer: resume[g.members[0].layer] for g in groups}
+    keep = set()
+    for g in groups:
+        s = g.members[0].layer
+        keep.update((s, _after_pools(net, s)) if len(g.members) == 1 else (s,))
+    resume = {i: resume[i] for i in keep if i in resume}
 
     records = []
-    for g in groups:
-        start = g.members[0].layer
-        pre, stack = resume[start]
-        out = run_blocks(net.zeroed(g.members, ("gamma",)), pre, "train", start, stack,
-                         update_stats=False)
-        delta = abs(loss_op(out, batch_y, loss_kind).item() - base)
-        records.append(OracleRecord(group=g.group_id, members=g.members, delta_loss=delta))
+    for s, at_s in itertools.groupby(groups, key=lambda g: g.members[0].layer):
+        probe = None
+        for g in at_s:
+            if len(g.members) == 1:
+                probe = probe or _patched_probes(net, resume, s)
+                out = probe(g.members[0].channel)
+            else:
+                pre, stack = resume[s]
+                out = run_blocks(net.zeroed(g.members, ("gamma",)), pre, "train", s, stack,
+                                 update_stats=False)
+            delta = abs(loss_op(out, batch_y, loss_kind).item() - base)
+            records.append(OracleRecord(group=g.group_id, members=g.members, delta_loss=delta))
+        del resume[s], probe
     order = sorted(range(len(records)),
                    key=lambda i: (records[i].delta_loss, records[i].group))
     for rank, i in enumerate(order):

@@ -52,8 +52,6 @@ class PruneConfig:
             raise ConfigError("tau must lie strictly inside (0, 1)")
         if self.criterion not in CRITERIA:
             raise ConfigError(f"criterion must be one of {CRITERIA}")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 (train-mode norm)")
         if self.min_keep < 1:
             raise ConfigError("min_keep must be >= 1")
 

@@ -19,13 +19,14 @@ FD_TOL = 1e-5
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args) -> subprocess.CompletedProcess:
+def run_cli(*args, **kwargs) -> subprocess.CompletedProcess:
     """``python -m gfbs.cli ARGS`` in a child process that finds the package
-    in ``src`` without an install; stdout and stderr are captured as text."""
+    in ``src`` without an install; stdout and stderr are captured as text.
+    Keyword arguments go to ``subprocess.run``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "gfbs.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, **kwargs)
 
 
 def write_ckpt(path, spec_text, records):

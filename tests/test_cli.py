@@ -7,6 +7,7 @@ subcommands run against it in throwaway directories.
 import dataclasses
 import json
 import re
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +544,59 @@ class TestExitCodes:
             assert_one_line_error(out, 2)
             assert out.stderr == f"error: capture batch must lie in [2, 192] (the train size), " \
                 f"got {m}\n"
+
+    @pytest.mark.parametrize("body, what", [
+        ("input 3 16 16\nconv_bn_relu 2000000000 3 1 1\nflatten\nlinear 10\n",
+         "block 0 (conv_bn_relu)"),
+        ("input 1 100000 100000\nconv_bn_relu 4 3 1 1\nflatten\nlinear 10\n", "input"),
+        ("input 1 16 16\nconv_bn_relu 8 3 1 1000000\nflatten\nlinear 10\n",
+         "block 0 (conv_bn_relu)"),
+        ("input 1 16 16\nconv_bn_relu 64 3 1 1\nflatten\nlinear 8192\n",
+         "block 2 (linear)"),
+    ], ids=["channels", "input", "padding", "linear_weight"])
+    def test_spec_over_the_size_limit_is_config_error(self, tmp_path, body, what):
+        spec = tmp_path / "big.spec"
+        spec.write_text(body)
+        out = run_cli("train", "--spec", spec, "--data", DATA, "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+        assert out.stderr.startswith(f"error: {what} exceeds the size limit of 1048576 "
+                                     f"channels and 67108864 elements")
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_over_the_size_limit_is_config_error(self, tmp_path):
+        # about 100 bytes that would otherwise make 2e9 channel refs
+        ckpt = tmp_path / "big.ckpt"
+        write_ckpt(ckpt, "input 1 12 12\nconv_bn_relu 2000000000 3 1 1\nflatten\nlinear 10\n",
+                   [])
+        out = run_cli("eval", "--ckpt", ckpt, "--data", DATA)
+        assert_one_line_error(out, 2)
+        assert "block 0 (conv_bn_relu) exceeds the size limit" in out.stderr
+
+    def test_out_of_memory_is_one_line_config_error(self, tmp_path):
+        # a legal spec whose first conv output needs 32 x 100000 x 16 x 16
+        # float32 values, 3.05 GiB, under a 2 GiB address-space cap on the
+        # child alone, so the test cannot take the host's memory
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        spec = tmp_path / "wide.spec"
+        spec.write_text("input 1 16 16\nconv_bn_relu 100000 3 1 1\npool 0 16 16 0\n"
+                        "flatten\nlinear 10\n")
+        out = run_cli("train", "--spec", spec, "--data", "shapes:n_train=32,n_test=4,size=16",
+                      "--epochs", "1", "--batch-size", "32", "--out", tmp_path / "out",
+                      preexec_fn=cap)
+        assert_one_line_error(out, 2)
+        assert out.stderr.startswith("error: out of memory: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_probe_batch_of_one_is_one_rule_for_every_probe(self, workdir, tmp_path):
+        for command in ("saliency", "oracle"):
+            out = run_cli(command, "--ckpt", workdir / "train" / "baseline.ckpt", "--data", DATA,
+                          "--batch-size", "1", "--out", tmp_path / "out")
+            assert_one_line_error(out, 2)
+            assert out.stderr == "error: capture batch must lie in [2, 192] (the train size), " \
+                "got 1\n", command
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--spec", "net.spec", "--data", DATA, "--preset", "classify"],

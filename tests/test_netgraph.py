@@ -154,6 +154,21 @@ class TestShapes:
         with pytest.raises(FormatError):
             parse_spec("input 1 8 8\nflatten\nconv 2 3 1 1\n")
 
+    @pytest.mark.parametrize("text, ok", [
+        ("input 1 1 1\nconv 1048576 1 1 0\n", True),
+        ("input 1 1 1\nconv 1048577 1 1 0\n", False),
+        ("input 1024 1 1\nflatten\nlinear 65536\n", True),  # a 2^26-element weight
+        ("input 1024 1 1\nflatten\nlinear 65537\n", False),
+    ], ids=["width_at_limit", "width_over", "weight_at_limit", "weight_over"])
+    def test_size_limit_is_a_config_error_naming_the_block(self, text, ok):
+        if ok:
+            parse_spec(text)
+            return
+        with pytest.raises(ConfigError, match=r"^block \d \((conv|linear)\) exceeds the size "
+                                               r"limit of 1048576 channels and 67108864") as exc:
+            parse_spec(text)
+        assert not isinstance(exc.value, FormatError)
+
     def test_kernel_too_large(self):
         with pytest.raises(FormatError):
             parse_spec("input 1 2 2\nconv 2 5 1 0\nflatten\nlinear 2\n")
@@ -296,7 +311,8 @@ class TestForward:
 
 class TestBlockWalker:
     """Resuming at a conv block from its conv output, with the conv
-    skipped, gives the full pass's output, bit for bit."""
+    skipped, or at any other block from its input, gives the full pass's
+    output, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -329,10 +345,20 @@ class TestBlockWalker:
             for t, saved in zip(stack, kept[i][1]):
                 np.testing.assert_array_equal(t.data, saved)
 
-    def test_resume_needs_a_conv_block(self):
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_resume_at_a_block_input(self, mode):
+        # chain: conv_bn_relu, pool, conv_bn, flatten, linear; block 0's
+        # normed output is the pool's input, and a walk that starts past
+        # the last block returns its input
         net = walker_net("chain")
-        with pytest.raises(ConfigError, match="block 1 has no conv output"):
-            run_blocks(net, Tensor(np.zeros((2, 4, 8, 8))), "eval", 1)
+        x = Tensor(np.random.default_rng(4).standard_normal((5, 2, 8, 8)))
+        resume = {}
+        full = forward_full(net, x, mode, update_stats=False, resume=resume).data
+        pre, stack = resume[0]
+        pool_in = relu(batchnorm(pre, net.params[0], mode, update_stats=False))
+        np.testing.assert_array_equal(
+            run_blocks(net, pool_in, mode, 1, stack, update_stats=False).data, full)
+        np.testing.assert_array_equal(run_blocks(net, Tensor(full), mode, 5).data, full)
 
 
 def _open_residuals(spec, i):

@@ -159,35 +159,103 @@ def naive_oracle(net, x, y, kind):
     return [(g.group_id, deltas[i], ranks[i]) for i, g in enumerate(net.spec.groups)]
 
 
+def makes_delta_conv(spec, g):
+    """Whether the probe of group ``g`` turns a conv into a one-channel delta
+    conv: a one-member group whose block is followed, after pools only, by
+    a conv block."""
+    if len(g.members) > 1:
+        return False
+    t = g.members[0].layer + 1
+    while t < len(spec.blocks) and spec.blocks[t].kind == "pool":
+        t += 1
+    return t < len(spec.blocks) and spec.blocks[t].kind in netgraph.CONV_KINDS
+
+
 CONV2D = netgraph.conv2d
 
 
 def counting_conv2d(monkeypatch, fail_at=None):
-    """Count the walker's conv2d calls; raise at call ``fail_at``."""
+    """Record the input channels of every conv2d call, the walker's and the
+    oracle's delta convs alike; raise at call ``fail_at``."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape[1])
         if len(calls) == fail_at:
             raise NumericError("conv failed")
-        return CONV2D(*args, **kwargs)
+        return CONV2D(x, *args, **kwargs)
 
     monkeypatch.setattr(netgraph, "conv2d", counted)
+    monkeypatch.setattr(oracle, "conv2d", counted)
     return calls
 
 
+POOL_THEN_HEAD = ("input 1 8 8\nconv_bn_relu 4 3 1 1\npool 0 2 2 0\nconv_bn_relu 5 3 1 1\n"
+                  "pool 0 2 2 0\nflatten\nlinear 3\n")
+
+
 class TestResumedProbes:
-    """Each probe resumes at its group's first block; the results are those
-    of a full forward pass per group, bit for bit."""
+    """Each probe resumes at or after its group's first block. A probe that
+    makes no delta conv gives a full forward pass's delta bit for bit; a
+    delta conv sums in another order, so its delta lies within float
+    rounding of a full pass's and no rank moves."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("name", sorted(WALKER_SPECS))
     def test_equals_a_full_pass_per_group(self, name, dtype):
         net = walker_net(name, dtype)
         x, y, kind = walker_probe(net, name)
-        got = [(r.group, r.delta_loss, r.rank) for r in oracle_delta_loss(net, x, y, kind)]
-        assert got == naive_oracle(net, x, y, kind)
-        assert len(set(d for _, d, _ in got)) > len(got) // 2  # the deltas tell groups apart
+        got = [(r.group, r.delta_loss) for r in oracle_delta_loss(net, x, y, kind)]
+        want = naive_oracle(net, x, y, kind)
+        exact = [not makes_delta_conv(net.spec, g) for g in net.spec.groups]
+        assert [d for d, e in zip(got, exact) if e] == [w[:2] for w, e in zip(want, exact) if e]
+        assert len(set(d for _, d in got)) > len(got) // 2  # the deltas tell groups apart
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("name", sorted(WALKER_SPECS))
+    def test_delta_conv_groups_lie_within_the_bench_tolerance(self, name, dtype):
+        net = walker_net(name, dtype)
+        x, y, kind = walker_probe(net, name)
+        recs = oracle_delta_loss(net, x, y, kind)
+        want = naive_oracle(net, x, y, kind)
+        assert [r.rank for r in recs] == [w[2] for w in want]
+        base = loss_op(forward_full(net, Tensor(x, dtype=dtype), "train", update_stats=False),
+                       y, kind).item()
+        delta_conv = [(r.delta_loss, w[1]) for r, w, g in zip(recs, want, net.spec.groups)
+                      if makes_delta_conv(net.spec, g)]
+        assert delta_conv
+        for got, full in delta_conv:
+            assert abs(got - full) <= 1e-5 * base + 1e-3 * full
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_patch_through_pools_into_the_head_is_exact(self, dtype):
+        # no conv follows the second block: its probes patch the pooled output
+        net = build_network(parse_spec(POOL_THEN_HEAD), seed=3, dtype=dtype)
+        rng = np.random.default_rng(4)
+        for i in net.bn_blocks():
+            p = net.params[i]
+            p.gamma.data[:] = rng.uniform(0.3, 1.5, p.out_channels)
+            p.beta.data[:] = rng.normal(0.0, 0.3, p.out_channels)
+        x, y = rng.standard_normal((6, 1, 8, 8)), rng.integers(0, 3, 6)
+        got = [r.delta_loss for r in oracle_delta_loss(net, x, y, "cross_entropy")]
+        want = [d for _, d, _ in naive_oracle(net, x, y, "cross_entropy")]
+        tail = [g.group_id for g in net.spec.groups if g.members[0].layer == 2]
+        assert len(tail) == 5
+        assert [got[i] for i in tail] == [want[i] for i in tail]
+
+    @pytest.mark.parametrize("name, clones", [("chain", 0), ("dncnn", 0), ("res", 4)])
+    def test_only_multi_member_probes_copy_the_network(self, monkeypatch, name, clones):
+        net = walker_net(name)
+        x, y, kind = walker_probe(net, name)
+        calls, clone = [], netgraph.Network.clone
+
+        def counted(self):
+            calls.append(None)
+            return clone(self)
+
+        monkeypatch.setattr(netgraph.Network, "clone", counted)
+        oracle_delta_loss(net, x, y, kind)
+        assert len(calls) == clones == sum(len(g.members) > 1 for g in net.spec.groups)
 
     def test_multi_member_groups_start_at_the_stem(self):
         net = walker_net("res")
@@ -197,13 +265,17 @@ class TestResumedProbes:
     def test_conv_calls_on_tinydncnn(self, monkeypatch):
         # one full pass of 8 convs, then each of the 7 x 32 groups runs only
         # the convs after its own block: 8 + 32 * (7 + 6 + ... + 1) = 904,
-        # where a full pass per group made 8 * 225 = 1800
+        # where a full pass per group made 8 * 225 = 1800. The first of a
+        # probe's convs reads one input channel, the delta, where a
+        # recomputing probe read all 32: 224 * 1 + 672 * 32 = 21728, not
+        # 896 * 32 = 28672
         net = build_network(parse_spec(TINYDNCNN), seed=0)
         x = np.random.default_rng(0).standard_normal((2, 1, 12, 12))
         calls = counting_conv2d(monkeypatch)
         recs = oracle_delta_loss(net, x, x, "mse")
         assert len(recs) == 224
         assert len(calls) == 904
+        assert sum(calls[8:]) == 21728
 
     @pytest.mark.parametrize("fail_at", [1, 4, 5, 23, 40],
                              ids=["first_pass", "last_of_first_pass", "first_probe",

@@ -75,7 +75,7 @@ class TestPruneConfig:
 
     @pytest.mark.parametrize("kw", [
         {"lam": -0.1}, {"tau": 0.0}, {"tau": 1.0},
-        {"criterion": "magnitude"}, {"min_keep": 0}, {"batch_size": 1},
+        {"criterion": "magnitude"}, {"min_keep": 0},
         {"lam": math.nan}, {"lam": math.inf},
     ])
     def test_rejects_bad_fields(self, kw):
