@@ -243,14 +243,14 @@ def conv2d(x: Tensor, params, stride: int = 1, padding: int = 0,
 
 
 def batchnorm(x: Tensor, params: ParamSet, mode: str, tape: Tape | None = None,
-              update_stats: bool = True) -> Tensor:
+              update_stats: bool = False) -> Tensor:
     """Per-channel batch normalization over the batch and spatial axes.
 
     In train mode the normalizing mean/variance (biased) come from the
     minibatch, adding per-sample sums in float64 so that sample order does
-    not matter, and fold into the running statistics by moving average
-    unless ``update_stats`` is off; a batch variance that overflows is a
-    NumericError. Eval mode uses the running statistics.
+    not matter; a batch variance that overflows is a NumericError. Eval
+    mode uses the running statistics. It updates the running statistics,
+    by moving average of the batch ones, only when ``update_stats`` is on.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown batchnorm mode {mode!r}")

@@ -398,7 +398,7 @@ def build_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network
 
 
 def forward_full(net: Network, batch: Tensor, mode: str, tape: Tape | None = None,
-                 update_stats: bool = True, resume: dict | None = None) -> Tensor:
+                 update_stats: bool = False, resume: dict | None = None) -> Tensor:
     """Run the whole network on ``batch`` (see ``run_blocks`` for ``resume``).
     A batch whose shape or dtype is not the network's is a ConfigError."""
     if (batch.data.ndim != 4 or batch.shape[1:] != net.spec.input_shape
@@ -409,20 +409,22 @@ def forward_full(net: Network, batch: Tensor, mode: str, tape: Tape | None = Non
 
 
 def run_blocks(net: Network, x: Tensor, mode: str, start: int | None = None, stack=(),
-               tape: Tape | None = None, update_stats: bool = True,
-               resume: dict | None = None) -> Tensor:
-    """Run the network's blocks, the one block walker.
+               tape: Tape | None = None, update_stats: bool = False,
+               resume: dict | None = None, stop: int | None = None) -> Tensor:
+    """Run blocks ``[start, stop)`` of the network, the one block walker.
 
-    With ``start`` None, ``x`` is the network input and every block runs.
-    Otherwise the walk starts at block ``start`` with ``stack`` the
+    With ``start`` None, ``x`` is the network input and the walk begins at
+    block 0. Otherwise it begins at block ``start`` with ``stack`` the
     residual streams open there. If that block is conv-kind, ``x`` is its
     conv output, as ``resume[start]`` of an earlier pass records it: that
     conv is skipped and the walk goes on from its norm. Any other block
     (or ``start`` equal to the block count) takes ``x`` as its input.
-    ``resume``, when given, collects ``(conv output, open residual
-    streams)`` as ``resume[i]`` for every conv-kind block i run."""
+    It returns block ``stop``'s input: the network output when ``stop`` is
+    None. ``resume``, when given, collects ``(conv output, open residual
+    streams)`` as ``resume[i]`` for every conv-kind block i run. Running
+    statistics change only with ``update_stats`` on, which training sets."""
     stack = list(stack)
-    for i in range(start or 0, len(net.spec.blocks)):
+    for i in range(start or 0, len(net.spec.blocks) if stop is None else stop):
         b, p = net.spec.blocks[i], net.params[i]
         if b.kind in CONV_KINDS:
             pre = x if i == start else conv2d(x, p, stride=b.stride, padding=b.padding, tape=tape)

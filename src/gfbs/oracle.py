@@ -14,7 +14,7 @@ and the residual streams open there.
 A one-member group, channel c of block s, is patched rather than
 recomputed. Its channel of block s's output is the constant shift
 (through the ReLU if one follows), and every other channel is the
-unedited one, so block s's base output is normed once and the probe
+unedited one, so block s's base output is computed once and the probe
 only overwrites channel c. Max pooling maps a constant channel to the
 same constant, so the patch passes through pools unchanged. If a conv
 block t comes next, its conv output is the base one plus channel c's
@@ -23,6 +23,9 @@ resumes at t's norm. Otherwise it resumes at the first non-pool block
 from the patched output. A group with several members, which sit in
 different blocks, runs on a copy of the network with its gammas zeroed
 (``Network.zeroed``), resumed at its first block's conv output.
+
+Every block, base outputs included, runs in ``netgraph.run_blocks``;
+besides the loss, the one op the oracle calls itself is the delta conv.
 
 Also here: Spearman rank correlation with average-rank tie handling.
 """
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import ConvParams, Tensor, batchnorm, conv2d, loss as loss_op, maxpool2d, relu
+from .autograd import ConvParams, Tensor, conv2d, loss as loss_op
 from .errors import ConfigError, write_csv
 from .netgraph import (
     CONV_KINDS,
@@ -54,8 +57,7 @@ class OracleRecord:
 
 
 def _batch_loss(net: Network, batch_x: np.ndarray, batch_y, loss_kind: str) -> float:
-    out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train",
-                       update_stats=False)
+    out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train")
     return loss_op(out, batch_y, loss_kind).item()
 
 
@@ -68,19 +70,15 @@ def _after_pools(net: Network, s: int) -> int:
 
 
 def _patched_probes(net: Network, resume: dict, s: int):
-    """Channel c -> the network output with gamma_c of block ``s`` zeroed,
-    from block s's base output (``resume[s]`` normed on the unedited net)
-    with channel c overwritten, as the module docstring describes."""
-    blocks, p = net.spec.blocks, net.params[s]
-    pre, stack = resume[s]
-    y = batchnorm(pre, p, "train", update_stats=False)
-    shift = p.beta.data
-    if blocks[s].kind == "conv_bn_relu":
-        y, shift = relu(y), np.maximum(shift, 0)
+    """Channel c -> the network output with gamma_c of block ``s`` zeroed:
+    block s's base output, walked once by ``run_blocks`` on the unedited
+    net to the first non-pool block t, with channel c patched as the
+    module docstring describes."""
+    blocks, beta = net.spec.blocks, net.params[s].beta.data
+    shift = np.maximum(beta, 0) if blocks[s].kind == "conv_bn_relu" else beta
     t = _after_pools(net, s)
-    for b in blocks[s + 1:t]:
-        y = maxpool2d(y, b.kernel, b.stride)
-    base = y.data
+    pre, stack = resume[s]
+    base = run_blocks(net, pre, "train", s, stack, stop=t).data
     if t < len(blocks) and blocks[t].kind in CONV_KINDS:
         pre_t, stack_t = resume[t]
         conv_t, w = blocks[t], net.params[t].weight.data
@@ -90,14 +88,13 @@ def _patched_probes(net: Network, resume: dict, s: int):
             change = conv2d(Tensor(shift[c] - base[:, c:c + 1]),
                             ConvParams(Tensor(w[:, c:c + 1]), zero_bias),
                             stride=conv_t.stride, padding=conv_t.padding)
-            return run_blocks(net, Tensor(pre_t.data + change.data), "train", t, stack_t,
-                              update_stats=False)
+            return run_blocks(net, Tensor(pre_t.data + change.data), "train", t, stack_t)
     else:
 
         def probe(c: int) -> Tensor:
             x = base.copy()
             x[:, c] = shift[c]
-            return run_blocks(net, Tensor(x), "train", t, stack, update_stats=False)
+            return run_blocks(net, Tensor(x), "train", t, stack)
     return probe
 
 
@@ -108,8 +105,9 @@ def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
     The probe batch must be the same one the saliency capture used for
     the comparison to mean anything. ``net`` itself is never written to.
 
-    One pass records ``resume``, the conv output and the open residual
-    streams of every conv-kind block. The groups of one start block come
+    One ``forward_full`` pass records ``resume``, the conv output and the
+    open residual streams of every conv-kind block, and every probe is a
+    ``run_blocks`` walk resumed from it. The groups of one start block come
     in a row, so its entry is dropped once they are probed. One-member
     groups are patched (see the module docstring) and copy no network;
     their deltas equal a full pass's bit for bit, except where a delta
@@ -125,8 +123,7 @@ def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
     if not groups:
         return []
     resume = {}
-    out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train",
-                       update_stats=False, resume=resume)
+    out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train", resume=resume)
     base = loss_op(out, batch_y, loss_kind).item()
     keep = set()
     for g in groups:
@@ -143,8 +140,7 @@ def oracle_delta_loss(net: Network, batch_x: np.ndarray, batch_y,
                 out = probe(g.members[0].channel)
             else:
                 pre, stack = resume[s]
-                out = run_blocks(net.zeroed(g.members, ("gamma",)), pre, "train", s, stack,
-                                 update_stats=False)
+                out = run_blocks(net.zeroed(g.members, ("gamma",)), pre, "train", s, stack)
             delta = abs(loss_op(out, batch_y, loss_kind).item() - base)
             records.append(OracleRecord(group=g.group_id, members=g.members, delta_loss=delta))
         del resume[s], probe

@@ -82,9 +82,9 @@ def capture(net: Network, batch_x: np.ndarray, batch_y: np.ndarray,
             loss_kind: str) -> list[SaliencyRecord]:
     """Probe pass: returns raw per-channel records.
 
-    The pass runs on a copy of ``net``, so the caller's parameters,
-    gradients and running statistics are never touched. The probe
-    normalizes with batch statistics and skips the running-average update.
+    The pass runs on a copy of ``net``, so the caller's parameters and
+    gradients are never touched. It normalizes with batch statistics, and
+    like every forward pass outside training it leaves the running ones be.
     """
     bn_blocks = net.bn_blocks()
     if not bn_blocks:
@@ -95,8 +95,7 @@ def capture(net: Network, batch_x: np.ndarray, batch_y: np.ndarray,
 
     net = net.clone()
     tape = Tape()
-    out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train",
-                       tape=tape, update_stats=False)
+    out = forward_full(net, Tensor(batch_x, dtype=net.dtype), "train", tape=tape)
     scalar = loss_op(out, batch_y, loss_kind, tape=tape)
     backward(tape, scalar)
 

@@ -178,7 +178,8 @@ def train(net: Network, data: DatasetHandle, cfg: TrainConfig,
                 continue  # train-mode norm needs at least 2 samples
             tape = Tape()
             try:
-                out = forward_full(net, Tensor(xb, dtype=net.dtype), "train", tape=tape)
+                out = forward_full(net, Tensor(xb, dtype=net.dtype), "train", tape=tape,
+                                   update_stats=True)
                 scalar = loss_op(out, yb, kind, tape=tape)
             except NumericError as exc:
                 raise NumericError(

@@ -126,7 +126,7 @@ class TestBatchnorm:
         p = make_bn_params(2)
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        batchnorm(Tensor(x), p, "train")
+        batchnorm(Tensor(x), p, "train", update_stats=True)
         np.testing.assert_allclose(p.running_mean.data, 0.1 * mu, rtol=1e-10)
         np.testing.assert_allclose(p.running_var.data, 0.9 + 0.1 * var, rtol=1e-10)
 

@@ -19,7 +19,6 @@ from gfbs.cli import main
 from gfbs.data import _DESCRIPTORS
 from gfbs.netgraph import build_network, load_checkpoint, parse_spec, save_checkpoint
 from gfbs.saliency import CRITERIA, CSV_HEADER
-from gfbs.surgeon import plan_prune
 from gfbs.trainer import TrainConfig
 
 DATA = "shapes:n_train=192,n_test=48,size=12,seed=3"
@@ -194,19 +193,6 @@ class TestPruneCommand:
         assert (tmp_path / "a" / "plan.json").read_bytes() == \
             (tmp_path / "b" / "plan.json").read_bytes()
 
-    def test_plan_failing_validation_makes_no_out(self, workdir, saliency_dir, tmp_path,
-                                                  monkeypatch, capsys):
-        def bad_plan(net, records, cfg):  # claims a floor its kept lists break
-            return dataclasses.replace(plan_prune(net, records, cfg), min_keep=99)
-
-        monkeypatch.setattr(cli, "plan_prune", bad_plan)
-        rc = main(["prune", "--ckpt", str(workdir / "train" / "baseline.ckpt"),
-                   "--saliency", str(saliency_dir / "saliency.csv"),
-                   "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "plan failed validation" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_layer_narrower_than_min_keep_is_kept_whole(self, tmp_path):
         # block 0 has 2 channels, below the default --min-keep of 4: no plan
         # can touch it, so it must not count as collapsed either
@@ -286,18 +272,6 @@ class TestReportCommand:
             assert lines[0].startswith("baseline total ")
             assert lines[2] == f"ratio {doc['flops_ratio']:.6f}"
             assert len(lines) == 3 + 5  # totals and ratio, then one line per block
-
-    def test_sweep_stops_at_a_plan_failing_validation(self, workdir, tmp_path, monkeypatch,
-                                                      capsys):
-        def bad_plan(net, records, cfg):  # claims a floor its kept lists break
-            return dataclasses.replace(plan_prune(net, records, cfg), min_keep=99)
-
-        monkeypatch.setattr(cli, "plan_prune", bad_plan)
-        assert self.sweep(workdir, tmp_path / "sweep") == 2
-        assert "plan failed validation" in capsys.readouterr().err
-        assert not (tmp_path / "sweep" / "lambda_0" / "plan.json").exists()
-        assert not (tmp_path / "sweep" / "report.md").exists()
-        assert not (tmp_path / "sweep").exists()  # the first plan failed: nothing was made
 
     def test_sweep_metric_is_the_finetune_final_test_pass(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "evaluate", lambda *a: pytest.fail("extra test pass"))

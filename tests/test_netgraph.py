@@ -1,5 +1,8 @@
 """Tests for spec parsing, network building, forward, FLOPs, groups, I/O."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -359,6 +362,84 @@ class TestBlockWalker:
         np.testing.assert_array_equal(
             run_blocks(net, pool_in, mode, 1, stack, update_stats=False).data, full)
         np.testing.assert_array_equal(run_blocks(net, Tensor(full), mode, 5).data, full)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("name", sorted(WALKER_SPECS))
+    def test_stop_returns_the_input_of_the_stop_block(self, name, mode, dtype):
+        # from each conv block s to the first non-pool block t after it
+        net = walker_net(name, dtype)
+        blocks = net.spec.blocks
+        x = Tensor(np.random.default_rng(5).standard_normal((5,) + net.spec.input_shape),
+                   dtype=dtype)
+        resume = {}
+        full = forward_full(net, x, mode, resume=resume).data
+        for s, (pre, stack) in resume.items():
+            t = next((u for u in range(s + 1, len(blocks)) if blocks[u].kind != "pool"),
+                     len(blocks))
+            stopped = run_blocks(net, pre, mode, s, stack, stop=t)
+            if t < len(blocks) and blocks[t].kind in CONV_KINDS:
+                got = conv2d(stopped, net.params[t], stride=blocks[t].stride,
+                             padding=blocks[t].padding)
+                np.testing.assert_array_equal(got.data, resume[t][0].data, err_msg=f"{s}->{t}")
+            else:
+                np.testing.assert_array_equal(run_blocks(net, stopped, mode, t, stack).data,
+                                              full, err_msg=f"{s}->{t}")
+
+    @pytest.mark.parametrize("name", sorted(WALKER_SPECS))
+    def test_forward_passes_leave_the_running_statistics(self, name):
+        # only training writes them, and it asks with update_stats=True
+        net = walker_net(name)
+        x = Tensor(np.random.default_rng(6).standard_normal((5,) + net.spec.input_shape))
+        before = {k: v.data.copy() for k, v in net.named_tensors().items()
+                  if k.endswith(("running_mean", "running_var"))}
+        resume = {}
+        forward_full(net, x, "train", tape=Tape(), resume=resume)
+        for i, (pre, stack) in resume.items():
+            run_blocks(net, pre, "train", i, stack)
+        run_blocks(net, x, "train")
+        assert before
+        for k, v in before.items():
+            np.testing.assert_array_equal(net.named_tensors()[k].data, v, err_msg=k)
+
+
+BLOCK_OPS = {"batchnorm", "relu", "maxpool2d", "add", "flatten", "linear"}
+SRC = Path(__file__).resolve().parents[1] / "src" / "gfbs"
+
+
+def _block_op_calls(path: Path) -> list[tuple[int, str]]:
+    """(line, op) of every call in ``path`` to an autograd op that runs a
+    block, whether imported by name or called through the module."""
+    tree = ast.parse(path.read_text())
+    local = {op: op for op in BLOCK_OPS} if path.name == "autograd.py" else {}
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("autograd", "gfbs.autograd"):
+            local.update((a.asname or a.name, a.name) for a in node.names if a.name in BLOCK_OPS)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "gfbs"):
+            modules.update(a.asname or a.name for a in node.names if a.name == "autograd")
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name == "gfbs.autograd" and a.asname)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in local:
+            calls.append((node.lineno, local[f.id]))
+        elif (isinstance(f, ast.Attribute) and f.attr in BLOCK_OPS
+              and isinstance(f.value, ast.Name) and f.value.id in modules):
+            calls.append((node.lineno, f.attr))
+    return calls
+
+
+def test_only_run_blocks_runs_blocks():
+    """Block execution lives in ``netgraph.run_blocks`` alone; elsewhere the
+    oracle's delta ``conv2d`` is the only op a module may call itself."""
+    assert {op for _, op in _block_op_calls(SRC / "netgraph.py")} == BLOCK_OPS
+    stray = {path.name: calls for path in sorted(SRC.glob("*.py"))
+             if path.name != "netgraph.py" and (calls := _block_op_calls(path))}
+    assert not stray, f"block ops called outside run_blocks: {stray}"
 
 
 def _open_residuals(spec, i):

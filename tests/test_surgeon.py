@@ -4,10 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gfbs.autograd import Tensor
 from gfbs.errors import ConfigError
 from gfbs.netgraph import (
+    BN_KINDS,
+    CONV_KINDS,
     ChannelRef,
     build_coupling_groups,
     build_network,
@@ -188,6 +192,59 @@ class TestPlanning:
         recs = chain_records(spec)[:-1]
         with pytest.raises(ConfigError, match=r"channel ChannelRef\(layer=2, channel=7\)"):
             plan_prune(net, recs, PruneConfig())
+
+
+@st.composite
+def conv_specs(draw):
+    """Spec text of a small conv net: a run of conv blocks of any kind,
+    half the time with residual blocks among them."""
+    kinds = ["conv_bn_relu", "conv_bn", "conv"]
+    c = draw(st.integers(1, 6))
+    lines = ["input 2 4 4", f"{draw(st.sampled_from(kinds))} {c} 3 1 1"]
+    segments = kinds + ["residual"] * 3 if draw(st.booleans()) else kinds
+    for seg in draw(st.lists(st.sampled_from(segments), max_size=4)):
+        if seg == "residual":  # the stream keeps its width across the add
+            lines += ["residual_begin", f"conv_bn_relu {draw(st.integers(1, 6))} 3 1 1",
+                      f"{draw(st.sampled_from(['conv_bn', 'conv_bn_relu']))} {c} 3 1 1",
+                      "residual_add"]
+        else:
+            c = draw(st.integers(1, 6))
+            lines.append(f"{seg} {c} 3 1 1")
+    return "\n".join(lines + ["flatten", "linear 3"]) + "\n"
+
+
+class TestPlanInvariants:
+    """``plan_prune`` meets every plan invariant by construction; each is
+    checked here on its own, not through ``validate_plan``."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_plan_meets_the_invariants(self, data):
+        spec = parse_spec(data.draw(conv_specs()))
+        assume(spec.groups)
+        bn = [(i, c) for i, b in enumerate(spec.blocks) if b.kind in BN_KINDS
+              for c in range(b.channels)]
+        scores = data.draw(st.lists(st.floats(0, 1), min_size=len(bn), max_size=len(bn)))
+        cfg = PruneConfig(tau=data.draw(st.floats(0.01, 0.99)),
+                          min_keep=data.draw(st.integers(1, 6)))
+        plan = plan_prune(build_network(spec), fabricate_records(spec, dict(zip(bn, scores))),
+                          cfg)
+
+        conv = {i: b.channels for i, b in enumerate(spec.blocks) if b.kind in CONV_KINDS}
+        assert set(plan.kept_per_layer) == set(conv)
+        removed = set()
+        for layer, n in conv.items():
+            kept = plan.kept_per_layer[layer]
+            assert list(kept) == sorted(set(kept)) and set(kept) <= set(range(n))
+            if len(kept) < n:  # a layer that lost channels is a norm layer above the floor
+                assert spec.blocks[layer].kind in BN_KINDS and len(kept) >= cfg.min_keep
+            removed |= {(layer, c) for c in range(n) if c not in kept}
+        groups = [{(m.layer, m.channel) for m in g.members} for g in spec.groups]
+        for g in groups:
+            assert g <= removed or not g & removed
+        assert removed <= set().union(*groups)
+        assert len(removed) / sum(map(len, groups)) <= cfg.tau
+        assert plan.achieved_ratio <= cfg.tau
 
 
 class TestSurgery:

@@ -179,6 +179,16 @@ class TestTrainLoop:
         for k, v in net.named_tensors().items():
             np.testing.assert_array_equal(v.data, before[k])
 
+    def test_one_epoch_moves_every_running_statistic(self):
+        # training is the one caller that asks forward passes to write them
+        net, data = small_setup()
+        before = {k: v.data.copy() for k, v in net.named_tensors().items()
+                  if k.endswith(("running_mean", "running_var"))}
+        assert len(before) == 2 * len(net.bn_blocks())
+        train(net, data, TrainConfig(epochs=1, batch_size=32, lr=0.0))
+        for k, v in before.items():
+            assert not np.any(net.named_tensors()[k].data == v), k
+
     def test_finetune_runs_same_loop(self):
         net, data = small_setup()
         cfg = TrainConfig(epochs=1, batch_size=32, lr=0.01)
