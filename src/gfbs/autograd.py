@@ -194,13 +194,13 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
     return cols, ho, wo
 
 
-def _col2im(gcols: np.ndarray, shape: tuple[int, ...], k: int, stride: int, padding: int) -> np.ndarray:
+def _col2im(gcols: np.ndarray, shape: tuple[int, ...], k: int, stride: int, padding: int,
+            ho: int, wo: int) -> np.ndarray:
     """Adjoint of ``_im2col``: scatter-add ``[N, C*k*k, Ho*Wo]`` columns back
-    onto ``[N, C, H, W]``; each of the k*k adds reads one contiguous block."""
+    onto ``[N, C, H, W]``, given the output grid ``_im2col`` returned; each
+    of the k*k adds reads one contiguous block."""
     n, c, h, w = shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
     g6 = gcols.reshape(n, c, k, k, ho, wo)
     gxp = np.zeros((n, c, hp, wp), dtype=gcols.dtype)
     for i in range(k):
@@ -232,7 +232,8 @@ def conv2d(x: Tensor, params, stride: int = 1, padding: int = 0,
             g3 = gout.reshape(n, c_out, ho * wo)
             _accum(b, g3.sum(axis=(0, 2)))
             _accum(w, np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
-            _accum(x, _col2im(np.matmul(wmat.T, g3), (n, c_in, h, wid), k, stride, padding))
+            _accum(x, _col2im(np.matmul(wmat.T, g3), (n, c_in, h, wid), k, stride, padding,
+                                ho, wo))
 
         tape.record("conv2d", [x, w, b], out, bwd)
     return out
@@ -402,22 +403,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, tape: Tape | None = None) ->
 def loss(pred: Tensor, target, kind: str, tape: Tape | None = None) -> Tensor:
     """Mean-over-batch scalar loss.
 
-    ``cross_entropy`` applies softmax to ``pred`` [N,K] and takes the
-    negative log-likelihood of integer ``target`` labels. ``mse`` is the
-    mean squared difference over all elements; the target carries no
-    gradient. Both means sum in float64, so sample order does not matter.
+    ``target`` is an ndarray, as a dataset holds it. ``cross_entropy``
+    applies softmax to ``pred`` [N,K] and takes the negative log-likelihood
+    of integer ``target`` labels. ``mse`` is the mean squared difference
+    over all elements; the target carries no gradient. Both means sum in
+    float64, so sample order does not matter.
     """
     if kind == "cross_entropy":
         if pred.data.ndim != 2:
             raise ConfigError("cross_entropy expects [N,K] logits")
-        t = target.data if isinstance(target, Tensor) else np.asarray(target)
-        labels = np.asarray(t).reshape(-1)
+        labels = target.reshape(-1)
         if labels.shape[0] != pred.shape[0]:
             raise ConfigError("cross_entropy: one label per row required")
         if not np.issubdtype(labels.dtype, np.integer):
-            if not np.all(labels == np.round(labels)):
-                raise ConfigError("cross_entropy labels must be integers")
-            labels = labels.astype(np.int64)
+            raise ConfigError(f"cross_entropy labels must be integers, got {labels.dtype.name}")
         k = pred.shape[1]
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
             raise ConfigError(f"labels must lie in [0, {k})")
@@ -440,7 +439,7 @@ def loss(pred: Tensor, target, kind: str, tape: Tape | None = None) -> Tensor:
         return out
 
     if kind == "mse":
-        tdata = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=pred.dtype)
+        tdata = np.asarray(target, dtype=pred.dtype)
         if tdata.shape != pred.shape:
             raise ConfigError(f"mse: shape mismatch {pred.shape} vs {tdata.shape}")
         with np.errstate(over="ignore"):  # an overflow shows as a non-finite loss

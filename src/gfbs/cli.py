@@ -206,9 +206,12 @@ def cmd_saliency(args) -> int:
 def cmd_oracle(args) -> int:
     net = load_checkpoint(args.ckpt)
     data = open_dataset(args.data)
-    # a bad CSV fails before the probes; oracle records follow spec.groups
+    # a bad CSV, or scores no deltas could rank-correlate (fewer than 2
+    # groups, or all equal), fails before the probes; records follow spec.groups
     scores = group_scores(read_saliency_csv(args.saliency, net.spec), net.spec.groups) \
         if args.saliency else None
+    if scores is not None:
+        spearman(scores, scores)
     x, y = data.capture_batch(args.batch_size)
     records = oracle_delta_loss(net, x, y, data.loss_kind)
     summary: dict = {"groups": len(records)}
@@ -344,12 +347,18 @@ def cmd_report(args) -> int:
 
 def _sweep_lambda(args, out: Path) -> int:
     """Score/prune/finetune/eval once per lambda with a shared budget."""
+    entries = args.lambdas.split(",") if args.lambdas else DEFAULT_LAMBDAS
     try:
         cfgs = [PruneConfig(lam=float(lam), tau=args.tau, min_keep=args.min_keep,
-                            batch_size=args.probe_batch)
-                for lam in (args.lambdas.split(",") if args.lambdas else DEFAULT_LAMBDAS)]
+                            batch_size=args.probe_batch) for lam in entries]
     except ValueError as exc:
         raise ConfigError(f"--lambdas: {exc}") from exc
+    subdirs: dict[str, object] = {}  # each run's directory name -> its entry
+    for lam, cfg in zip(entries, cfgs):
+        name = f"lambda_{cfg.lam:g}"
+        if name in subdirs:
+            raise ConfigError(f"--lambdas: {subdirs[name]} and {lam} both write {name}")
+        subdirs[name] = lam
     net = load_checkpoint(args.ckpt)
     data = open_dataset(args.data)
     ft_cfg = _train_config(args, data, True)
@@ -357,8 +366,8 @@ def _sweep_lambda(args, out: Path) -> int:
     x, y = data.capture_batch(args.probe_batch)
     captured = normalize_layerwise(capture(net, x, y, data.loss_kind))
     rows = []
-    for cfg in cfgs:
-        sub = out / f"lambda_{cfg.lam:g}"  # _prune makes it, and out with it
+    for name, cfg in zip(subdirs, cfgs):
+        sub = out / name  # _prune makes it, and out with it
         records = score([dataclasses.replace(r) for r in captured], cfg)
         plan, pruned = _prune(net, records, cfg, sub)
         write_saliency_csv(records, sub / "saliency.csv")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,28 +35,18 @@ def _rng(*keys: int) -> np.random.Generator:
 class DatasetHandle:
     """Materialized train/test arrays plus deterministic batch iteration.
 
-    ``kind`` is one of synthetic_shapes, idx_pair, denoise_patches. For
-    classification kinds y_* hold int64 labels; for denoise_patches they
-    hold the clean images and x_* the noisy ones.
+    ``task`` is ``classify`` or ``denoise``. For ``classify`` y_* hold int64
+    labels; for ``denoise`` they hold the clean images and x_* the noisy
+    ones. Only this module's three constructors build a handle, and each
+    gives every split as many targets as images.
     """
 
-    kind: str
+    task: str
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
     seed: int
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if len(self.x_train) != len(self.y_train):
-            raise ConfigError("train images/targets length mismatch")
-        if len(self.x_test) != len(self.y_test):
-            raise ConfigError("test images/targets length mismatch")
-
-    @property
-    def task(self) -> str:
-        return "denoise" if self.kind == "denoise_patches" else "classify"
 
     @property
     def loss_kind(self) -> str:
@@ -161,8 +151,7 @@ def gen_shapes_dataset(n_train: int, n_test: int, image_size: int = 16,
         raise ConfigError("need n_train, n_test >= 1 and image_size >= 8")
     x_tr, y_tr = _gen_split(n_train, image_size, seed, _TRAIN)
     x_te, y_te = _gen_split(n_test, image_size, seed, _TEST)
-    return DatasetHandle("synthetic_shapes", x_tr, y_tr, x_te, y_te,
-                         seed=seed)
+    return DatasetHandle("classify", x_tr, y_tr, x_te, y_te, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +195,8 @@ def load_idx(images_path, labels_path, test_fraction: float = 0.1,
     test_idx, train_idx = order[:n_test], order[n_test:]
     if len(train_idx) == 0:
         raise ConfigError("IDX split left no training samples")
-    return DatasetHandle("idx_pair", images[train_idx], labels[train_idx],
-                         images[test_idx], labels[test_idx],
-                         seed=seed)
+    return DatasetHandle("classify", images[train_idx], labels[train_idx],
+                         images[test_idx], labels[test_idx], seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +221,10 @@ def make_noisy_pairs(clean: DatasetHandle, sigma: float, seed: int = 0) -> Datas
         return out
 
     return DatasetHandle(
-        "denoise_patches",
+        "denoise",
         noisy(clean.x_train, _TRAIN), clean.x_train.copy(),
         noisy(clean.x_test, _TEST), clean.x_test.copy(),
-        seed=seed, sigma=sigma)
+        seed=seed)
 
 
 # ---------------------------------------------------------------------------

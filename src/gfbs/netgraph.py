@@ -286,18 +286,14 @@ def format_spec(spec: NetworkSpec) -> str:
 
 
 class Network:
-    """A spec plus one parameter container per block (None for shape ops)."""
+    """A spec, one parameter container per block (None for shape ops), and
+    the dtype every tensor shares: float32 when there are none. Only
+    ``from_arrays`` builds one, having checked that the tensors share it."""
 
-    def __init__(self, spec: NetworkSpec, params: list):
+    def __init__(self, spec: NetworkSpec, params: list, dtype: np.dtype):
         self.spec = spec
         self.params = params
-
-    @property
-    def dtype(self):
-        for p in self.params:
-            if p is not None:
-                return next(iter(p.tensors().values())).dtype
-        return np.dtype(np.float32)
+        self.dtype = dtype
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -365,7 +361,7 @@ def from_arrays(spec: NetworkSpec, arrays: dict[str, np.ndarray]) -> Network:
         missing = sorted(set(expected) - set(arrays))
         extra = sorted(set(arrays) - set(expected))
         raise ConfigError(f"tensor set mismatch: missing {missing}, extra {extra}")
-    dtypes = sorted({a.dtype.name for a in arrays.values()})
+    dtypes = sorted({a.dtype.name for a in arrays.values()}) or ["float32"]
     if len(dtypes) > 1:
         raise ConfigError(f"tensor set mixes dtypes {' and '.join(dtypes)}")
     for name, shape in expected.items():
@@ -378,7 +374,7 @@ def from_arrays(spec: NetworkSpec, arrays: dict[str, np.ndarray]) -> Network:
             raise ConfigError(f"block {i}: running_var must be non-negative")
         params.append(cls(**{n: Tensor(a, dtype=a.dtype) for n, a in named.items()})
                       if cls else None)
-    return Network(spec, params)
+    return Network(spec, params, np.dtype(dtypes[0]))
 
 
 def build_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:

@@ -82,15 +82,17 @@ class Metrics:
 
 
 class Adam:
-    """Adam with bias correction; ``step`` consumes and clears gradients."""
+    """Adam with bias correction; ``step`` consumes and clears gradients.
+    The moment decays and the denominator floor are the usual constants;
+    weight decay is coupled, added to the gradient as in ``SGD``."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr: float, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -260,10 +262,10 @@ def classify_finetune_config(seed: int = 0) -> TrainConfig:
 def denoise_train_config(seed: int = 0) -> TrainConfig:
     """Adam from scratch for the denoiser baseline."""
     return TrainConfig(epochs=40, batch_size=32, lr=1e-3, lr_milestones=(30,),
-                       lr_decay=0.1, optimizer="adam", loss="mse", seed=seed)
+                       lr_decay=0.1, optimizer="adam", seed=seed)
 
 
 def denoise_finetune_config(seed: int = 0) -> TrainConfig:
     """The published recipe: 50 epochs Adam at 1e-4, divided by 10 at 40."""
     return TrainConfig(epochs=50, batch_size=32, lr=1e-4, lr_milestones=(40,),
-                       lr_decay=0.1, optimizer="adam", loss="mse", seed=seed)
+                       lr_decay=0.1, optimizer="adam", seed=seed)

@@ -494,6 +494,10 @@ class TestLinearAndLoss:
         with pytest.raises(ConfigError):
             loss(pred, np.array([0, 3]), "cross_entropy")
 
+    def test_cross_entropy_float_labels(self):
+        with pytest.raises(ConfigError, match="cross_entropy labels must be integers, got float64"):
+            loss(Tensor(np.zeros((2, 3))), np.array([0.0, 1.0]), "cross_entropy")
+
     def test_mse_value(self):
         p = Tensor(np.array([1.0, 3.0]))
         t = np.array([0.0, 1.0])

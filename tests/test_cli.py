@@ -433,16 +433,37 @@ class TestExitCodes:
         ("input 1 12 12\nconv_bn_relu 1 3 1 1\nflatten\nlinear 10\n",
          "spearman needs at least 2 items"),
     ], ids=["constant_scores", "one_group"])
-    def test_oracle_refused_after_probing_makes_no_out(self, tmp_path, spec, error):
+    def test_oracle_refuses_uncorrelatable_scores_before_probing(self, tmp_path, monkeypatch,
+                                                                 capsys, spec, error):
         # beta_only scores every channel of a factory-default net 0
         ckpt = tmp_path / "net.ckpt"
         save_checkpoint(build_network(parse_spec(spec), seed=0), ckpt)
         assert main(["saliency", "--ckpt", str(ckpt), "--data", DATA, "--criterion",
                      "beta_only", "--out", str(tmp_path / "sal")]) == 0
-        out = run_cli("oracle", "--ckpt", ckpt, "--data", DATA,
-                      "--saliency", tmp_path / "sal" / "saliency.csv", "--out", tmp_path / "out")
+        argv = ["oracle", "--ckpt", ckpt, "--data", DATA,
+                "--saliency", tmp_path / "sal" / "saliency.csv", "--out", tmp_path / "out"]
+        out = run_cli(*argv)
         assert_one_line_error(out, 2)
         assert error in out.stderr
+        assert not (tmp_path / "out").exists()
+
+        def probe(*args):
+            raise AssertionError("the oracle probed scores it cannot correlate")
+
+        monkeypatch.setattr(cli, "oracle_delta_loss", probe)
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("lambdas", ["0.05,0.05", "0.1,0.1000001"])
+    def test_sweep_lambdas_sharing_a_directory_are_refused(self, workdir, tmp_path, lambdas):
+        # both entries would write lambda_0.05 (or lambda_0.1): %g keeps 6 digits
+        out = run_cli("report", "--sweep-lambda", "--ckpt", workdir / "train" / "baseline.ckpt",
+                      "--data", DATA, "--lambdas", lambdas, "--epochs", "1",
+                      "--out", tmp_path / "out")
+        assert_one_line_error(out, 2)
+        first, second = lambdas.split(",")
+        assert f"{first} and {second} both write lambda_{float(first):g}" in out.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("data, flags", [

@@ -188,14 +188,13 @@ class TestNoisyPairs:
 class TestDescriptors:
     def test_shapes_descriptor(self):
         ds = open_dataset("shapes:n_train=30,n_test=10,size=12,seed=4")
-        assert ds.kind == "synthetic_shapes"
+        assert ds.task == "classify"
         assert ds.x_train.shape[1:] == (1, 12, 12)
         assert len(ds.x_train) == 30
 
     def test_denoise_descriptor(self):
         ds = open_dataset("denoise:n_train=20,n_test=5,size=12,sigma=50,seed=1")
-        assert ds.kind == "denoise_patches"
-        assert ds.sigma == 50
+        assert ds.task == "denoise"
         assert ds.x_train.shape[1:] == (1, 12, 12)
 
     def test_denoise_size_key(self):
@@ -207,6 +206,12 @@ class TestDescriptors:
     def test_unknown_key_rejected(self, descriptor):
         with pytest.raises(ConfigError, match="unknown keys"):
             open_dataset(descriptor)
+
+    def test_idx_descriptor(self, tmp_path):
+        ip, lp = write_idx(tmp_path, np.zeros((4, 8, 8)), [0, 1, 2, 3])
+        ds = open_dataset(f"idx:images={ip},labels={lp}")
+        assert ds.task == "classify"
+        assert ds.x_train.shape[1:] == (1, 8, 8)
 
     def test_loss_kind_follows_task(self):
         assert open_dataset("shapes:n_train=4,n_test=2").loss_kind == "cross_entropy"

@@ -26,6 +26,7 @@ from gfbs.netgraph import (
     run_blocks,
     save_checkpoint,
 )
+from gfbs.surgeon import PrunePlan, apply_prune
 
 from helpers import WALKER_SPECS, gradcheck, walker_net, write_ckpt
 
@@ -216,6 +217,21 @@ class TestBuild:
             np.testing.assert_array_equal(t.data, want)
         for name, t in net.named_tensors().items():
             np.testing.assert_array_equal(t.data, before[name])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_network_keeps_its_tensors_dtype(self, tmp_path, dtype):
+        spec = parse_spec(TINY)
+        net = build_network(spec, seed=1, dtype=dtype)
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        plan = PrunePlan(base_spec=spec, kept_per_layer={0: (1, 3)}, shortfall=False, tau=0.5,
+                         min_keep=1, criterion="gfbs", lam=0.0)
+        for other in (net, load_checkpoint(tmp_path / "net.ckpt"), net.clone(),
+                      net.zeroed([ChannelRef(0, 1)], ("gamma",)), apply_prune(net, plan)):
+            assert other.dtype == np.dtype(dtype)
+
+    def test_a_network_without_tensors_is_float32(self):
+        spec = parse_spec("input 1 8 8\npool 0 2 2 0\n")
+        assert build_network(spec, dtype=np.float64).dtype == np.dtype(np.float32)
 
     def test_from_arrays_holds_the_arrays_given(self):
         spec = parse_spec(TINY)
@@ -440,6 +456,18 @@ def test_only_run_blocks_runs_blocks():
     stray = {path.name: calls for path in sorted(SRC.glob("*.py"))
              if path.name != "netgraph.py" and (calls := _block_op_calls(path))}
     assert not stray, f"block ops called outside run_blocks: {stray}"
+
+
+@pytest.mark.parametrize("cls, home", [("Network", "netgraph.py"), ("DatasetHandle", "data.py")])
+def test_only_its_own_module_constructs(cls, home):
+    """A network's ``dtype`` and a dataset's ``task`` are stored, not derived:
+    only the constructors of their own module, which work them out, may
+    call the class."""
+    callers = sorted(path.name for path in SRC.glob("*.py") if any(
+        isinstance(node, ast.Call)
+        and cls in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(path.read_text()))))
+    assert callers == [home]
 
 
 def _open_residuals(spec, i):
